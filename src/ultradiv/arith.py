@@ -8,7 +8,7 @@ at an explicit window W and the window travels with the result.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 __all__ = [
     "NatSet",
@@ -88,21 +88,33 @@ def prime_index(p: int) -> int:
     return bisect.bisect_right(_primes, p)
 
 
+# Sorenson & Webster (2017): psi_12, the least strong pseudoprime to all of
+# the first 12 prime bases, so below it those 12 bases decide primality.
+_PSI_12 = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (trial division, then Miller-Rabin)."""
+    """Primality test: exact below psi_12 = 318665857834031151167461,
+    probable from there on.
+
+    Below psi_12, Miller-Rabin to the 12 prime bases 2..37 is a proof.
+    From psi_12 on it is Baillie-PSW: a base-2 strong test, then a strong
+    Lucas test with Selfridge's parameters.  No composite is known to pass
+    it, but that is not proven.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < 41 * 41:
         return True
-    # deterministic witness set for n < 3.3 * 10^24
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES if n < _PSI_12 else (2,):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -112,7 +124,59 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_12 or _strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 37^2, free of factors <= 37,
+    with Selfridge's parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1, Q = (1 - D)/4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # 1 < gcd(D, n) < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, for odd n
+        x %= n
+        return (x + n if x & 1 else x) // 2
+
+    # U_k, V_k and Q^k mod n, for k running over the binary prefixes of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_rho(n: int) -> int:
@@ -211,14 +275,18 @@ class NatSet(frozenset):
     window: int | None
 
     def __new__(cls, elements=(), window: int | None = None):
-        self = super().__new__(cls, elements)
-        if self and min(self) < 1:
-            raise ValueError("NatSet elements must be integers >= 1")
+        self = cls._trusted(_elems(elements), window)
         if window is not None:
             if window < 1:
                 raise ValueError("window must be >= 1")
             if self and max(self) > window:
                 raise ValueError("NatSet element exceeds its window")
+        return self
+
+    @classmethod
+    def _trusted(cls, elements, window: int | None = None) -> NatSet:
+        """Internal constructor for elements known to be >= 1 and <= window."""
+        self = frozenset.__new__(cls, elements)
         self.window = window
         return self
 
@@ -228,7 +296,13 @@ class NatSet(frozenset):
 
 
 def _elems(A) -> frozenset:
-    return A if isinstance(A, frozenset) else frozenset(A)
+    """A set operand, checked once where it enters; a NatSet is trusted."""
+    if isinstance(A, NatSet):
+        return A
+    elems = A if isinstance(A, frozenset) else frozenset(A)
+    if elems and min(elems) < 1:
+        raise ValueError("NatSet elements must be integers >= 1")
+    return elems
 
 
 def up_closure(A, W: int) -> NatSet:
@@ -239,40 +313,34 @@ def up_closure(A, W: int) -> NatSet:
     """
     if W < 1:
         raise ValueError("window must be >= 1")
-    out: set[int] = set()
+    gens: list[int] = []
     for a in sorted(_elems(A)):
         if a > W:
             break
-        if a in out:  # a multiple of an earlier element: already covered
-            continue
-        out.update(range(a, W + 1, a))
-    return NatSet(out, window=W)
+        # skip multiples of kept generators, unless the test costs more than W // a
+        if len(gens) >= W // a or all(a % g for g in gens):
+            gens.append(a)
+    return NatSet._trusted(chain.from_iterable(range(a, W + 1, a) for a in gens), W)
 
 
 def down_closure(A) -> NatSet:
     """All divisors of all elements of A (finite, no window needed)."""
-    out: set[int] = set()
-    for a in _elems(A):
-        out.update(divisors(a))
-    return NatSet(out)
+    return NatSet._trusted(chain.from_iterable(divisors(a) for a in _elems(A)))
 
 
 def quotient_set(A, n: int) -> NatSet:
     """A/n = {m : m*n in A}.  Empty when n divides no element."""
     if n < 1:
         raise ValueError("quotient divisor must be >= 1")
-    elems = _elems(A)
-    out = {a // n for a in elems if a % n == 0}
-    window = None
-    if isinstance(A, NatSet) and A.window is not None:
-        window = max(1, A.window // n)
-    return NatSet(out, window=window)
+    window = A.window if isinstance(A, NatSet) else None
+    out = {a // n for a in _elems(A) if a % n == 0}
+    return NatSet._trusted(out, window and max(1, window // n))
 
 
 def coprime_product(A, B) -> NatSet:
     """{a*b : a in A, b in B, gcd(a,b) = 1}."""
-    out = {a * b for a in _elems(A) for b in _elems(B) if math.gcd(a, b) == 1}
-    return NatSet(out)
+    B = _elems(B)
+    return NatSet._trusted({a * b for a in _elems(A) for b in B if math.gcd(a, b) == 1})
 
 
 def coprime_power(A, n: int) -> NatSet:
@@ -282,15 +350,13 @@ def coprime_power(A, n: int) -> NatSet:
     """
     if n < 1:
         raise ValueError("coprime power needs n >= 1")
-    elems = sorted(_elems(A))
+    elems = _elems(A)
     if all(is_prime(a) for a in elems):
         # distinct-prime fast path, same result as folding the binary product
-        return NatSet(
-            math.prod(c) for c in combinations(elems, n)
-        )
-    acc = NatSet(elems)
+        return NatSet._trusted(math.prod(c) for c in combinations(elems, n))
+    acc = base = NatSet._trusted(elems)
     for _ in range(n - 1):
-        acc = coprime_product(acc, elems)
+        acc = coprime_product(acc, base)
     return acc
 
 
@@ -298,9 +364,8 @@ def elementwise_power(A, n: int) -> NatSet:
     """{a^n : a in A}; the 0-th power of anything is {1}."""
     if n < 0:
         raise ValueError("exponent must be >= 0")
-    if n == 0:
-        return NatSet({1})
-    return NatSet(a**n for a in _elems(A))
+    elems = _elems(A)
+    return NatSet._trusted({1} if n == 0 else {a**n for a in elems})
 
 
 def level_of(n: int) -> int:

@@ -187,7 +187,7 @@ def build_Y(chain: ChainOfSets, W: int) -> NatSet:
                 break
             if m in level:
                 out.add(m * n)
-    return NatSet(out, window=W)
+    return NatSet._trusted(out, W)
 
 
 def pseudo_check(B: Iterable[int], chain: ChainOfSets, slack: int) -> bool:

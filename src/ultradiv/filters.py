@@ -184,9 +184,6 @@ def quotient_filter_view(A: Iterable[int], x: FinFilter, y: FinFilter) -> NatSet
     core_x.
     """
     _same_universe(x, y)
-    elems = frozenset(A)
-    hits = {
-        n for n in range(1, x.bound + 1)
-        if member(y, quotient_set(NatSet(elems, window=x.bound), n))
-    }
-    return NatSet(hits, window=x.bound)
+    elems = NatSet(A, window=x.bound)
+    hits = {n for n in range(1, x.bound + 1) if member(y, quotient_set(elems, n))}
+    return NatSet._trusted(hits, x.bound)

@@ -301,7 +301,7 @@ def generate_falpha(
         )
         factors = _label_factors(pools[label], groups)
         products = [x * f for x in products for f in factors]
-    return NatSet(products)
+    return NatSet._trusted(products)
 
 
 # --- witness construction ----------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ultradiv.arith import (
@@ -157,7 +157,11 @@ def test_natset_window_validation():
     with pytest.raises(ValueError):
         NatSet({0})
     with pytest.raises(ValueError):
+        NatSet([3, -1])
+    with pytest.raises(ValueError):
         NatSet({5}, window=4)
+    with pytest.raises(ValueError):
+        NatSet(iter([1, 9]), window=8)
     s = NatSet({1, 2}, window=10)
     assert s.window == 10 and 2 in s
 
@@ -226,3 +230,153 @@ def test_divisors():
     assert is_prime(2) and is_prime(997) and not is_prime(1)
     assert not is_prime(1000003 * 1000033)
     assert math.prod(p**e for p, e in factorize(987654321).items()) == 987654321
+
+
+# --- input contract: sets are checked where they enter ----------------------
+
+
+def _coprime_fold(A, n):
+    acc = set(A)
+    for _ in range(n - 1):
+        acc = {x * a for x in acc for a in A if math.gcd(x, a) == 1}
+    return acc
+
+
+# name -> (operation, set-comprehension reference, result window given A's window)
+SET_OPS = {
+    "up_closure": (
+        lambda A: up_closure(A, 90),
+        lambda A: {m for m in range(1, 91) if any(m % a == 0 for a in A)},
+        lambda w: 90,
+    ),
+    "quotient_set": (
+        lambda A: quotient_set(A, 3),
+        lambda A: {a // 3 for a in A if a % 3 == 0},
+        lambda w: None if w is None else w // 3,
+    ),
+    "coprime_product": (
+        lambda A: coprime_product(A, {1, 5, 6, 49}),
+        lambda A: {a * b for a in A for b in (1, 5, 6, 49) if math.gcd(a, b) == 1},
+        lambda w: None,
+    ),
+    "coprime_product_right": (
+        lambda A: coprime_product({2, 15}, A),
+        lambda A: {a * b for a in (2, 15) for b in A if math.gcd(a, b) == 1},
+        lambda w: None,
+    ),
+    "coprime_power_2": (lambda A: coprime_power(A, 2), lambda A: _coprime_fold(A, 2), lambda w: None),
+    "coprime_power_3": (lambda A: coprime_power(A, 3), lambda A: _coprime_fold(A, 3), lambda w: None),
+    "down_closure": (
+        lambda A: down_closure(A),
+        lambda A: {d for a in A for d in range(1, a + 1) if a % d == 0},
+        lambda w: None,
+    ),
+    "elementwise_power_0": (lambda A: elementwise_power(A, 0), lambda A: {1}, lambda w: None),
+    "elementwise_power_3": (
+        lambda A: elementwise_power(A, 3),
+        lambda A: {a**3 for a in A},
+        lambda w: None,
+    ),
+}
+
+# each way a set operand can arrive, with the window it carries
+INPUT_FORMS = {
+    "natset_window": (lambda A: NatSet(A, window=60), 60),
+    "natset": (lambda A: NatSet(A), None),
+    "frozenset": (frozenset, None),
+    "list": (list, None),
+    "generator": (lambda A: (a for a in A), None),
+}
+
+
+@pytest.mark.parametrize("name", SET_OPS)
+@given(A=small_sets)
+@example(A=frozenset({2, 3, 5, 7, 11}))  # coprime_power's prime-set path
+@settings(max_examples=40)
+def test_set_operation_contract(name, A):
+    op, reference, out_window = SET_OPS[name]
+    want = reference(A)
+    for make, window in INPUT_FORMS.values():
+        got = op(make(A))
+        assert type(got) is NatSet
+        assert got == want
+        assert got.window == out_window(window)
+
+
+def test_prime_set_with_many_generators_closes_like_the_reference():
+    primes = first_primes(168)  # the primes below 1000
+    assert up_closure(primes, 1000) == NatSet(range(2, 1001))
+    assert up_closure(primes[10:], 1000) == {
+        m for m in range(1, 1001) if any(m % p == 0 for p in primes[10:])
+    }
+
+
+@pytest.mark.parametrize("name", SET_OPS)
+@pytest.mark.parametrize("bad", [0, -3])
+def test_set_operation_rejects_nonpositive_elements(name, bad):
+    # up_closure used to drop a negative generator and crash on 0 (range step 0)
+    op = SET_OPS[name][0]
+    with pytest.raises(ValueError, match="integers >= 1"):
+        op({bad, 2})
+    with pytest.raises(ValueError, match="integers >= 1"):
+        op([5, bad])
+
+
+# --- primality above the 12-base bound ---------------------------------------
+
+# strong pseudoprimes to the first 12 and 13 prime bases (Sorenson & Webster 2017)
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+CARMICHAEL_BELOW_10_6 = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657,
+    52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401, 172081, 188461,
+    252601, 278545, 294409, 314821, 334153, 340561, 399001, 410041, 449065,
+    488881, 512461, 530881, 552721, 656601, 658801, 670033, 748657, 825265,
+    838201, 852841, 997633,
+)
+
+
+def test_is_prime_rejects_psi_12_and_psi_13():
+    for psi in (PSI_12, PSI_13):
+        assert not sympy.isprime(psi)
+        assert not is_prime(psi)
+    assert PSI_12 == 399165290221 * 798330580441
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    for n in CARMICHAEL_BELOW_10_6:
+        fac = sympy.factorint(n)
+        # Korselt: squarefree, at least two primes, p - 1 | n - 1 for each p
+        assert len(fac) > 1 and all(e == 1 and (n - 1) % (p - 1) == 0 for p, e in fac.items())
+        assert not sympy.isprime(n) and not is_prime(n)
+
+
+def test_is_prime_matches_sympy_on_24_to_26_digits():
+    # 24 digits start below psi_12, so both the exact and the probable range run
+    rng = random.Random(2017)
+    for digits in (24, 25, 26):
+        lo = 10 ** (digits - 1)
+        for _ in range(15):
+            p = sympy.nextprime(rng.randrange(lo, 10 * lo))
+            q = sympy.nextprime(rng.randrange(10**11, 10**12))
+            r = sympy.nextprime(lo // q)
+            odd = rng.randrange(lo, 10 * lo) | 1
+            assert is_prime(p)
+            for n in (q * r, q * q, odd, odd + 2):
+                assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_strong_lucas_pseudoprimes_are_the_known_ones():
+    # with Selfridge's parameters the odd composites below 20000 that pass the
+    # strong Lucas test alone are 5459, 5777, 10877, 16109 and 18971 (OEIS A217255)
+    from ultradiv.arith import _strong_lucas_prp
+
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    passing = {
+        n for n in range(41 * 41, 20000, 2)
+        if all(n % p for p in small) and _strong_lucas_prp(n)
+    }
+    primes = {n for n in passing if sympy.isprime(n)}
+    assert passing - primes == {5459, 5777, 10877, 16109, 18971}
+    assert primes == set(sympy.primerange(41 * 41, 20000))

@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import level_of
+from .arith import _PSI_12, level_of
 from .coloring import (
     ThickParams,
     check_thick_lemmas,
@@ -107,6 +107,8 @@ def cmd_classify(args, t0):
         "level": level_of(n),
         "sigma": sigma(pat),
         "pattern": pat.to_text(),
+        # is_prime proves primality below psi_12 and is Baillie-PSW from there on
+        "primality": "proven" if all(p < _PSI_12 for p, _e in pat.entries) else "probable",
     }
     if n > 1:
         shape = shape_class(n)
@@ -129,8 +131,8 @@ def cmd_divides(args, t0):
 
 def cmd_product(args, t0):
     W = args.universe or args.m * args.n
-    value = product_principal(args.m, args.n, W, seed=args.seed)
-    params = {"m": args.m, "n": args.n, "universe": W, "seed": args.seed}
+    value = product_principal(args.m, args.n, W)
+    params = {"m": args.m, "n": args.n, "universe": W}
     return _report("product", params, "value", {"value": value}, t0), 0
 
 
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_divides)
 
     p = sub.add_parser("product", parents=[common],
-                       help="principal filter product with formula self-check")
+                       help="principal filter product")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.set_defaults(fn=cmd_product)

@@ -118,21 +118,24 @@ def verify_progr(k: int, a0_max: int, d_max: int) -> ProgressionReport:
     """
     if k < 1:
         raise ValueError("color index must be >= 1")
+    if a0_max < 1 or d_max < 1:
+        raise ValueError("start and step bounds must be >= 1")
     length = 2**k + 1
     check_guard(length, 2**12 + 1, "progression length")
     # gap-1 pairs first: the intended witness is usually adjacent
     pair_order = sorted(combinations(range(length), 2), key=lambda ij: ij[1] - ij[0])
     violations = []
-    checked = 0
     for d in range(1, d_max + 1):
-        for a0 in range(1, a0_max + 1):
-            checked += 1
-            for i, j in pair_order:
-                if color_pair(a0 + i * d, a0 + j * d) == k:
+        # color_pair(a, b) == k  iff  ((a-1) ^ (b-1)).bit_length() == k - 1 + (b-a).bit_length();
+        # the offsets and the gap's target depend on d only, not on the start
+        targets = [(i * d, j * d, k - 1 + ((j - i) * d).bit_length()) for i, j in pair_order]
+        for s in range(a0_max):  # s = a0 - 1
+            for x, y, t in targets:
+                if ((s + x) ^ (s + y)).bit_length() == t:
                     break
             else:
-                violations.append((a0, d, tuple(range(a0, a0 + length * d, d))))
-    return ProgressionReport(k, a0_max, d_max, checked, violations)
+                violations.append((s + 1, d, tuple(range(s + 1, s + 1 + length * d, d))))
+    return ProgressionReport(k, a0_max, d_max, a0_max * d_max, violations)
 
 
 @dataclass
@@ -154,6 +157,8 @@ def verify_refinement(n: int, index_bound: int) -> RefinementReport:
     the largest member must agree."""
     if n < 2:
         raise ValueError("refinement starts at arity 2")
+    if index_bound < n + 1:
+        raise ValueError(f"index bound must be >= arity + 1 = {n + 1}")
     violations = []
     checked = 0
     for comb in combinations(range(1, index_bound + 1), n + 1):

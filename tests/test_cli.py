@@ -20,10 +20,15 @@ def test_classify(capsys):
     code, rep = run_json(capsys, "classify", "360")
     assert code == 0
     assert rep["level"] == 6 and rep["shape"] == [3, 2, 1]
+    assert rep["primality"] == "proven"
     code, rep = run_json(capsys, "classify", "1")
     assert code == 0 and rep["level"] == 0 and "shape" not in rep
     code, rep = run_json(capsys, "classify", "210")
     assert rep["class"] == "P^(4)"
+    # the next prime after psi_12: only Baillie-PSW vouches for it
+    code, rep = run_json(capsys, "classify", "318665857834031151167483")
+    assert code == 0 and rep["primality"] == "probable"
+    assert rep["class"] == "P" and rep["level"] == 1
 
 
 def test_divides(capsys):
@@ -40,6 +45,7 @@ def test_product(capsys):
     assert code == 0 and rep["value"] == 6
     _, rep = run_json(capsys, "product", "7", "11")
     assert rep["value"] == 77
+    assert rep["params"] == {"m": 7, "n": 11, "universe": 77}
     code, rep = run_json(capsys, "product", "20", "30", "--universe", "100")
     assert code == 2 and rep["outcome"] == "error"
 
@@ -68,6 +74,12 @@ def test_verify_suites(capsys):
     code, rep = run_json(capsys, "verify", "g-disjoint", "--count", "50",
                          "--stages", "3")
     assert code == 0 and rep["collision_count"] == 0
+    code, rep = run_json(capsys, "verify", "progr", "--k", "2", "--a0-max", "0",
+                         "--d-max", "5")
+    assert code == 2 and rep["outcome"] == "error"
+    code, rep = run_json(capsys, "verify", "refinement", "--arity", "2",
+                         "--index-bound", "0")
+    assert code == 2 and rep["outcome"] == "error"
 
 
 def test_verify_unknown_suite_usage_error(capsys):

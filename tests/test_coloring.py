@@ -110,10 +110,49 @@ def test_verify_progr_k1_finds_known_gap():
         assert all(color_pair(x, y) != 1 for x, y in combinations(terms, 2))
 
 
+def progr_reference(k, a0_max, d_max):
+    """The plain scan: color_pair on every pair, shortest gaps first."""
+    length = 2**k + 1
+    pair_order = sorted(combinations(range(length), 2), key=lambda ij: ij[1] - ij[0])
+    violations = []
+    checked = 0
+    for d in range(1, d_max + 1):
+        for a0 in range(1, a0_max + 1):
+            checked += 1
+            if not any(color_pair(a0 + i * d, a0 + j * d) == k for i, j in pair_order):
+                violations.append((a0, d, tuple(range(a0, a0 + length * d, d))))
+    return checked, violations
+
+
+def test_verify_progr_matches_reference_scan():
+    rng = random.Random(5)
+    cases = [(k, 1, 1) for k in range(1, 5)] + [(k, 64, 16) for k in range(1, 5)]
+    cases += [(rng.randint(1, 4), rng.randint(1, 64), rng.randint(1, 16)) for _ in range(24)]
+    for k, a0_max, d_max in cases:
+        rep = verify_progr(k, a0_max, d_max)
+        expect = progr_reference(k, a0_max, d_max)
+        assert (rep.checked, rep.violations) == expect, (k, a0_max, d_max)
+
+
+def test_verify_progr_k1_full_scale_matches_reference():
+    rep = verify_progr(1, 1024, 64)
+    assert len(rep.violations) == 29184
+    assert (rep.checked, rep.violations) == progr_reference(1, 1024, 64)
+
+
+@pytest.mark.parametrize("a0_max, d_max", [(0, 5), (5, 0), (-1, 3)])
+def test_verify_progr_rejects_vacuous_bounds(a0_max, d_max):
+    with pytest.raises(ValueError):
+        verify_progr(2, a0_max, d_max)
+
+
 def test_verify_refinement():
     assert verify_refinement(2, 20).ok
     assert verify_refinement(3, 15).ok
     assert verify_refinement(2, 3).ok
+    for n, index_bound in ((2, 0), (2, 2), (3, 3)):  # no (n+1)-subset to check
+        with pytest.raises(ValueError):
+            verify_refinement(n, index_bound)
 
 
 def test_find_mono_ap():

@@ -96,6 +96,17 @@ def test_product_principal():
     assert product_principal(7, 11, 100) == 77
     with pytest.raises(WindowOverflowError):
         product_principal(20, 30, 100)
+    W = 60
+    for m in range(1, 13):
+        for n in range(1, 13):
+            if m * n <= W:
+                assert product_principal(m, n, W) == m * n
+            else:
+                with pytest.raises(WindowOverflowError):
+                    product_principal(m, n, W)
+    for m, n in ((0, 3), (3, 0), (-2, 5)):
+        with pytest.raises(ValueError):
+            product_principal(m, n, W)
 
 
 def test_principal_reduction_small():

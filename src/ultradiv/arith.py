@@ -7,8 +7,9 @@ at an explicit window W and the window travels with the result.
 
 from __future__ import annotations
 
+import bisect
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 
 __all__ = [
     "NatSet",
@@ -43,20 +44,21 @@ def _extend_sieve(limit: int) -> None:
     if limit <= _sieved_to:
         return
     limit = max(limit, 2 * _sieved_to)
-    sieve = bytearray(b"\x01") * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    _primes = [i for i in range(2, limit + 1) if sieve[i]]
+    # odd numbers only: sieve[i] stands for 2*i + 1
+    sieve = bytearray(b"\x01") * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    _primes = [2, *compress(range(1, limit + 1, 2), sieve)]
     _sieved_to = limit
 
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, increasing."""
     _extend_sieve(limit)
-    import bisect
-
     return _primes[: bisect.bisect_right(_primes, limit)]
 
 
@@ -83,8 +85,6 @@ def prime_index(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     _extend_sieve(p)
-    import bisect
-
     return bisect.bisect_right(_primes, p)
 
 

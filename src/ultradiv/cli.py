@@ -6,7 +6,8 @@ single structured report: one JSON object per line under --format json
 rendering.  Exit status is 0 for a value or a passing verification, 1
 when a verifier found real violations, 2 for usage errors.  Violation
 lists in reports are complete up to the stated bounds; timing is the
-only non-deterministic field.
+only non-deterministic field.  Exit status 3 marks an unexpected error
+inside ultradiv.  Handlers import only the modules their subcommand needs.
 """
 
 from __future__ import annotations
@@ -17,33 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .arith import _PSI_12, level_of
-from .coloring import (
-    ThickParams,
-    check_thick_lemmas,
-    class_of,
-    color_pair,
-    color_tuple,
-    is_thick_bounded,
-    verify_progr,
-    verify_refinement,
-)
-from .constructions import ec_enumerate, greedy_thick_extend, verify_g_disjoint
-from .filters import FinFilter, divides_down, divides_up, product_principal
 from .guards import GuardExceeded
-from .patterns import (
-    InsufficientPrimesError,
-    NoWitnessError,
-    extend_divisible,
-    generate_falpha,
-    parse_assignment,
-    parse_pattern,
-    pattern_of,
-    shape_class,
-    shape_name,
-    sigma,
-    witness_set,
-)
 
 TEXT_LIST_CAP = 10  # text rendering truncates long lists; json never does
 
@@ -100,24 +75,31 @@ def _report(command: str, params: dict, outcome: str, payload: dict, t0: float) 
 
 
 def cmd_classify(args, t0):
+    from .arith import _PSI_12, factorize
+    from .patterns import Pattern, shape_name, sigma
+
     n = args.n
-    pat = pattern_of(n)
+    # one factorization feeds what level_of, pattern_of and shape_class would each redo
+    fac = factorize(n)
+    pat = Pattern([(p, e, 1) for p, e in fac.items()])
     payload = {
         "n": n,
-        "level": level_of(n),
+        "level": sum(fac.values()),
         "sigma": sigma(pat),
         "pattern": pat.to_text(),
         # is_prime proves primality below psi_12 and is Baillie-PSW from there on
-        "primality": "proven" if all(p < _PSI_12 for p, _e in pat.entries) else "probable",
+        "primality": "proven" if all(p < _PSI_12 for p in fac) else "probable",
     }
     if n > 1:
-        shape = shape_class(n)
+        shape = tuple(sorted(fac.values(), reverse=True))
         payload["shape"] = list(shape)
         payload["class"] = shape_name(shape)
     return _report("classify", {"n": n}, "value", payload, t0), 0
 
 
 def cmd_divides(args, t0):
+    from .filters import FinFilter, divides_down, divides_up
+
     universe = args.universe or max(args.m, args.n)
     if max(args.m, args.n) > universe:
         raise ValueError("arguments exceed the universe bound")
@@ -130,6 +112,8 @@ def cmd_divides(args, t0):
 
 
 def cmd_product(args, t0):
+    from .filters import product_principal
+
     W = args.universe or args.m * args.n
     value = product_principal(args.m, args.n, W)
     params = {"m": args.m, "n": args.n, "universe": W}
@@ -137,6 +121,8 @@ def cmd_product(args, t0):
 
 
 def cmd_color(args, t0):
+    from .coloring import class_of, color_pair, color_tuple
+
     if args.mode == "pair":
         if len(args.values) != 2:
             raise ValueError("color pair needs exactly two numbers")
@@ -154,6 +140,8 @@ def cmd_color(args, t0):
 
 
 def cmd_verify(args, t0):
+    from .coloring import check_thick_lemmas, verify_progr, verify_refinement
+
     suite = args.suite
     if suite == "progr":
         rep = verify_progr(args.k, args.a0_max, args.d_max)
@@ -188,6 +176,8 @@ def cmd_verify(args, t0):
         }
         ok = rep.ok
     elif suite == "g-disjoint":
+        from .constructions import ec_enumerate, verify_g_disjoint
+
         asg = ec_enumerate(args.count)
         collisions = []
         pairs = 0
@@ -209,6 +199,8 @@ def cmd_verify(args, t0):
 
 
 def _pattern_and_assignment(raw_pattern: str, raw_assign: str | None):
+    from .patterns import parse_assignment, parse_pattern
+
     if "|" in raw_pattern and raw_assign is None:
         raw_pattern, raw_assign = raw_pattern.split("|", 1)
     if raw_assign is None:
@@ -217,6 +209,8 @@ def _pattern_and_assignment(raw_pattern: str, raw_assign: str | None):
 
 
 def cmd_falpha(args, t0):
+    from .patterns import generate_falpha
+
     pat, asg = _pattern_and_assignment(args.pattern, args.assign)
     out = generate_falpha(pat, asg, max_elements=args.max_elements)
     params = {"pattern": pat.to_text(),
@@ -226,6 +220,8 @@ def cmd_falpha(args, t0):
 
 
 def cmd_witness(args, t0):
+    from .patterns import parse_assignment, parse_pattern, witness_set
+
     alpha = parse_pattern(args.alpha)
     beta = parse_pattern(args.beta)
     asg = parse_assignment(args.assign or "")
@@ -246,6 +242,8 @@ def cmd_witness(args, t0):
 
 
 def cmd_extend(args, t0):
+    from .patterns import extend_divisible, parse_assignment, parse_pattern
+
     alpha = parse_pattern(args.alpha)
     beta = parse_pattern(args.beta)
     asg = parse_assignment(args.assign or "")
@@ -257,6 +255,8 @@ def cmd_extend(args, t0):
 
 
 def cmd_thick(args, t0):
+    from .coloring import ThickParams, is_thick_bounded
+
     primes = sorted(_parse_prime_sets(args.primes)[0]) if args.primes.strip() else []
     params_obj = ThickParams(m_max=args.m_max, k_max=args.k_max, n=args.arity)
     res = is_thick_bounded(primes, params_obj, max_set=args.max_set,
@@ -270,6 +270,8 @@ def cmd_thick(args, t0):
 
 
 def cmd_ecfun(args, t0):
+    from .constructions import ec_enumerate
+
     asg = ec_enumerate(args.count)
     listing = [
         {"index": i, "prefix": list(f.prefix), "tail": f.tail}
@@ -280,6 +282,9 @@ def cmd_ecfun(args, t0):
 
 
 def cmd_greedy(args, t0):
+    from .coloring import ThickParams
+    from .constructions import greedy_thick_extend
+
     seeds = _parse_prime_sets(args.seeds)
     candidates = _parse_prime_sets(args.candidates) if args.candidates else []
     params_obj = ThickParams(m_max=args.m_max, k_max=args.k_max, n=args.arity)
@@ -413,10 +418,16 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         report, code = args.fn(args, t0)
-    except (ValueError, GuardExceeded, InsufficientPrimesError, NoWitnessError) as exc:
-        emit({"command": args.cmd, "outcome": "error", "error": str(exc)},
-             getattr(args, "format", "text"))
-        return 2
+    except (ValueError, GuardExceeded) as exc:
+        report, code = {"command": args.cmd, "outcome": "error", "error": str(exc)}, 2
+    except Exception as exc:  # a fault in ultradiv, kept apart from "violations found" (1)
+        import traceback
+
+        traceback.print_exc()
+        report, code = {"command": args.cmd, "outcome": "internal_error",
+                        "error_type": type(exc).__name__, "error": str(exc)}, 3
+    # a handler's own report carries elapsed_ms already; an error report gains it here
+    report.setdefault("elapsed_ms", round((time.perf_counter() - t0) * 1000, 3))
     emit(report, args.format)
     return code
 

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ultradiv import arith
 from ultradiv.arith import (
     NatSet,
     coprime_power,
@@ -20,6 +21,7 @@ from ultradiv.arith import (
     level_of,
     nth_prime,
     prime_index,
+    primes_upto,
     quotient_set,
     smallest_prime_factor,
     up_closure,
@@ -84,6 +86,46 @@ def test_prime_index_inverts_nth_prime():
         assert prime_index(nth_prime(i)) == i
     with pytest.raises(ValueError):
         prime_index(6)
+
+
+def _trial_primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+# Each limit is sieved from a fresh state: below, at and above twice the
+# sieved bound (which a call rounds up to), odd and even, and squares of
+# primes with their neighbours.
+SIEVE_LIMITS = [2, 3, 4, 5, 8, 9, 10, 25, 47, 48, 49, 95, 96, 97, 98, 120, 121, 122,
+                168, 169, 170, 288, 289, 290, 361, 960, 961, 962, 1681, 2000]
+
+
+@pytest.mark.parametrize("start", [1, 48])
+def test_sieve_matches_trial_division(monkeypatch, start):
+    def fresh():
+        monkeypatch.setattr(arith, "_primes", _trial_primes(start))
+        monkeypatch.setattr(arith, "_sieved_to", start)
+
+    for limit in SIEVE_LIMITS:
+        expected = _trial_primes(limit)
+        fresh()
+        assert primes_upto(limit) == expected
+        sieved = max(limit, 2 * start) if limit > start else start
+        assert arith._sieved_to == sieved
+        assert arith._primes == _trial_primes(sieved)
+        fresh()
+        assert first_primes(len(expected)) == expected
+        fresh()
+        assert nth_prime(len(expected)) == expected[-1]
+        fresh()
+        assert prime_index(expected[-1]) == len(expected)
+
+
+def test_prime_counts_at_a_million_and_two(monkeypatch):
+    monkeypatch.setattr(arith, "_primes", [2])
+    monkeypatch.setattr(arith, "_sieved_to", 2)
+    assert len(primes_upto(10**6)) == 78498
+    assert len(primes_upto(2 * 10**6)) == 148933
+    assert primes_upto(2 * 10**6)[-1] == sympy.prevprime(2 * 10**6)
 
 
 def test_up_closure():

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+import sympy
 
+from ultradiv import arith, cli, patterns
 from ultradiv.cli import main
+from ultradiv.patterns import pattern_of, shape_class, shape_name, sigma
 
 
 def run(capsys, *argv):
@@ -31,6 +34,32 @@ def test_classify(capsys):
     assert rep["class"] == "P" and rep["level"] == 1
 
 
+@pytest.mark.parametrize("n", [
+    1, 2, 4, 360, 2**40, 561,
+    sympy.nextprime(1_500_000) * sympy.nextprime(10**15),  # the benchmark's semiprime
+    sympy.nextprime(arith._PSI_12),
+])
+def test_classify_factorizes_once_and_matches_the_library(capsys, monkeypatch, n):
+    calls = []
+    factorize = arith.factorize
+    for module in (arith, patterns):  # patterns holds its own reference
+        monkeypatch.setattr(module, "factorize", lambda m: calls.append(m) or factorize(m))
+    code, rep = run_json(capsys, "classify", str(n))
+    assert code == 0 and calls == [n]
+    monkeypatch.undo()
+    pat = pattern_of(n)
+    expected = {
+        "command": "classify", "params": {"n": n}, "outcome": "value", "n": n,
+        "level": arith.level_of(n), "sigma": sigma(pat), "pattern": pat.to_text(),
+        "primality": "proven" if all(p < arith._PSI_12 for p, _k in pat.entries) else "probable",
+    }
+    if n > 1:
+        expected["shape"] = list(shape_class(n))
+        expected["class"] = shape_name(shape_class(n))
+    assert rep.pop("elapsed_ms") >= 0
+    assert rep == expected
+
+
 def test_divides(capsys):
     code, rep = run_json(capsys, "divides", "6", "42")
     assert code == 0 and rep["divides_up"] and rep["divides_down"]
@@ -56,6 +85,27 @@ def test_color(capsys):
     assert run_json(capsys, "color", "class", "2", "143")[1]["class"] == 1
     code, rep = run_json(capsys, "color", "class", "2", "4")
     assert code == 2 and rep["outcome"] == "error"
+
+
+def test_usage_error_report_carries_elapsed_ms(capsys):
+    code, rep = run_json(capsys, "product", "20", "30", "--universe", "100")
+    assert code == 2
+    assert list(rep) == ["command", "outcome", "error", "elapsed_ms"]
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def stalled(args, t0):
+        raise RuntimeError("enumeration stalled")
+
+    monkeypatch.setattr(cli, "cmd_ecfun", stalled)
+    code = main(["ecfun", "5", "--format", "json"])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert code == 3  # not 1, which means "violations found"
+    assert rep["command"] == "ecfun" and rep["outcome"] == "internal_error"
+    assert rep["error_type"] == "RuntimeError" and rep["error"] == "enumeration stalled"
+    assert rep["elapsed_ms"] >= 0
+    assert "Traceback" in captured.err
 
 
 def test_verify_suites(capsys):

@@ -17,6 +17,7 @@ certificates for any violation found; they never sample.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -46,6 +47,7 @@ __all__ = [
 
 MAX_THICK_SET = 12  # default guard: exhaustive partitions only up to this size
 MAX_THICK_PARTS = 3
+MAX_VERIFY_WORK = 10**8  # default guard: pair checks or tuples one exhaustive verifier may do
 
 
 def block_interval(n: int, i: int) -> range:
@@ -77,7 +79,10 @@ def color_tuple(indices: Iterable[int], n: int | None = None) -> int:
         raise ValueError(f"expected {n} distinct indices, got {len(xs)}")
     if len(xs) < 2:
         raise ValueError("need at least two distinct indices")
-    return color_pair(xs[0], xs[1])
+    a, b = xs[0], xs[1]
+    if a < 1:
+        raise ValueError("pair elements must be >= 1")
+    return ((a - 1) ^ (b - 1)).bit_length() - (b - a).bit_length() + 1  # color_pair(a, b)
 
 
 def class_of(n: int, x: int) -> int:
@@ -122,6 +127,7 @@ def verify_progr(k: int, a0_max: int, d_max: int) -> ProgressionReport:
         raise ValueError("start and step bounds must be >= 1")
     length = 2**k + 1
     check_guard(length, 2**12 + 1, "progression length")
+    check_guard(a0_max * d_max * math.comb(length, 2), MAX_VERIFY_WORK, "progression pair checks")
     # gap-1 pairs first: the intended witness is usually adjacent
     pair_order = sorted(combinations(range(length), 2), key=lambda ij: ij[1] - ij[0])
     violations = []
@@ -154,17 +160,33 @@ class RefinementReport:
 
 def verify_refinement(n: int, index_bound: int) -> RefinementReport:
     """For every (n+1)-subset of {1..index_bound}: color with and without
-    the largest member must agree."""
+    the largest member must agree.
+
+    Subsets are walked in lexicographic order, grouped by their n-prefix:
+    each prefix is colored once and each subset once.  As `color_tuple`
+    is defined, the check is vacuous for n >= 2: the color reads the two
+    smallest members, which dropping the largest never changes, so only
+    color_tuple's own sort and dedupe are exercised.
+    """
     if n < 2:
         raise ValueError("refinement starts at arity 2")
     if index_bound < n + 1:
         raise ValueError(f"index bound must be >= arity + 1 = {n + 1}")
+    # C(index_bound, n + 1) from its smaller side; once both sides exceed 64
+    # it is above C(130, 65) > 2^64, and 2^64 stands in as a lower bound
+    side = min(n + 1, index_bound - n - 1)
+    check_guard(math.comb(index_bound, side) if side <= 64 else 2**64, MAX_VERIFY_WORK,
+                "refinement tuples")
     violations = []
     checked = 0
-    for comb in combinations(range(1, index_bound + 1), n + 1):
-        checked += 1
-        if color_tuple(comb, n + 1) != color_tuple(comb[:-1], n):
-            violations.append(comb)
+    for prefix in combinations(range(1, index_bound), n):
+        color = color_tuple(prefix, n)
+        lasts = range(prefix[-1] + 1, index_bound + 1)
+        checked += len(lasts)
+        for last in lasts:
+            tup = prefix + (last,)
+            if color_tuple(tup, n + 1) != color:
+                violations.append(tup)
     return RefinementReport(n, index_bound, checked, violations)
 
 

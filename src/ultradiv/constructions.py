@@ -11,8 +11,8 @@ not guaranteed, so dead ends are first-class outcomes, not errors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Iterable, Mapping, Sequence
 
 from .arith import NatSet, first_primes, is_prime, primes_upto
@@ -81,33 +81,40 @@ def ec_enumerate(count: int) -> dict[int, ECFunction]:
     lexicographically, then tail) among those satisfying its bound.
     Functions whose values are too large for the current index stay
     available for later ones.  Deterministic and injective.
+
+    Constants come first in that order and are taken in increasing order,
+    so a cursor marks the first unused one; only an index whose constants
+    are all taken scans the longer functions, as (prefix, tail) keys.
+    That is index 5 alone: from 7 on, p_k allows the constant p_(k-1),
+    which no earlier index could take.  So all but 5 -> "[2] then 3" are
+    constants.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     index_primes = first_primes(count)
-    used: set[ECFunction] = set()
+    used: set[tuple[tuple[int, ...], int]] = set()  # non-constant functions taken
+    const = 0  # the constants index_primes[:const] are taken
     out: dict[int, ECFunction] = {}
-    for i in index_primes:
-        allowed = [p for p in primes_upto(i) if p <= i] if i in (2, 3) else primes_upto(i - 1)
-        chosen = None
-        length = 0
-        while chosen is None:
-            for prefix in iproduct(allowed, repeat=length):
-                for tail in allowed:
-                    if prefix and prefix[-1] == tail:
-                        continue
-                    cand = ECFunction(prefix, tail)
-                    if cand not in used:
-                        chosen = cand
-                        break
-                if chosen:
-                    break
-            length += 1
-            if length > len(allowed) + count:  # safety net; never reached
-                raise RuntimeError(f"enumeration stalled at index {i}")
-        used.add(chosen)
-        out[i] = chosen
+    for k, i in enumerate(index_primes):
+        allowed = k + 1 if i in (2, 3) else k  # values allowed at i: index_primes[:allowed]
+        if const < allowed:
+            out[i] = ECFunction((), index_primes[const])
+            const += 1
+            continue
+        key = next(key for key in _nonconstant_keys(index_primes[:allowed]) if key not in used)
+        used.add(key)
+        out[i] = ECFunction(*key)
     return out
+
+
+def _nonconstant_keys(allowed: Sequence[int]):
+    """(prefix, tail) of every non-constant function into `allowed`, minimal
+    form, in canonical order."""
+    for length in itertools.count(1):
+        for prefix in itertools.product(allowed, repeat=length):
+            for tail in allowed:
+                if prefix[-1] != tail:
+                    yield prefix, tail
 
 
 def g_value(asg: Mapping[int, ECFunction], i: int, n: int) -> int:

@@ -1,8 +1,10 @@
+import math
 import random
 from itertools import combinations
 
 import pytest
 
+from ultradiv import coloring
 from ultradiv.arith import coprime_power, first_primes
 from ultradiv.coloring import (
     ThickParams,
@@ -153,6 +155,57 @@ def test_verify_refinement():
     for n, index_bound in ((2, 0), (2, 2), (3, 3)):  # no (n+1)-subset to check
         with pytest.raises(ValueError):
             verify_refinement(n, index_bound)
+
+
+def refinement_reference(n, index_bound):
+    """The plain scan: color every (n+1)-subset and, apart, its n-prefix."""
+    checked, violations = 0, []
+    for comb in combinations(range(1, index_bound + 1), n + 1):
+        checked += 1
+        if coloring.color_tuple(comb, n + 1) != coloring.color_tuple(comb[:-1], n):
+            violations.append(comb)
+    return checked, violations
+
+
+REFINEMENT_CASES = [(n, bound) for n in (2, 3, 4) for bound in range(n + 1, 19)]
+
+
+def test_verify_refinement_matches_reference_scan():
+    for n, bound in REFINEMENT_CASES:
+        rep = verify_refinement(n, bound)
+        assert (rep.checked, rep.violations) == refinement_reference(n, bound), (n, bound)
+        assert rep.ok
+
+
+def test_verify_refinement_colors_every_tuple(monkeypatch):
+    # a color that reads the largest member turns every dropped member
+    # into a possible violation, so a skipped or misattributed tuple shows
+    real = coloring.color_tuple
+    calls = {}
+
+    def by_largest(indices, n=None):
+        calls[n] = calls.get(n, 0) + 1
+        return real(indices, n) + max(indices) % 3
+
+    monkeypatch.setattr(coloring, "color_tuple", by_largest)
+    for n, bound in REFINEMENT_CASES:
+        expect = refinement_reference(n, bound)
+        assert expect[1]
+        calls.clear()
+        rep = verify_refinement(n, bound)
+        assert (rep.checked, rep.violations) == expect, (n, bound)
+        # one call per tuple, one per prefix that has an extension
+        assert calls == {n + 1: math.comb(bound, n + 1), n: math.comb(bound - 1, n)}
+
+
+def test_color_tuple_matches_color_pair():
+    rng = random.Random(7)
+    for _ in range(500):
+        xs = rng.sample(range(1, 10**6), rng.randint(2, 5))
+        low = sorted(xs)
+        assert color_tuple(xs) == color_pair(low[0], low[1])
+    with pytest.raises(ValueError, match="pair elements must be >= 1"):
+        color_tuple({0, 5})
 
 
 def test_find_mono_ap():

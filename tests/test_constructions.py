@@ -1,7 +1,9 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
+from ultradiv import constructions
 from ultradiv.arith import first_primes, primes_upto
 from ultradiv.coloring import ThickParams
 from ultradiv.constructions import (
@@ -51,6 +53,58 @@ def test_ec_enumerate_injective_bounded_deterministic():
     for i, f in asg.items():
         assert f.bound_ok(i), (i, f)
     assert ec_enumerate(80) == asg
+
+
+def ec_reference(count):
+    """The plain scan: for each index, re-scan the canonical order from the
+    start, building an ECFunction for every candidate."""
+    used, out = set(), {}
+    for i in first_primes(count):
+        allowed = [p for p in primes_upto(i) if p <= i] if i in (2, 3) else primes_upto(i - 1)
+        chosen, length = None, 0
+        while chosen is None:
+            for prefix in iproduct(allowed, repeat=length):
+                for tail in allowed:
+                    if prefix and prefix[-1] == tail:
+                        continue
+                    cand = ECFunction(prefix, tail)
+                    if cand not in used:
+                        chosen = cand
+                        break
+                if chosen:
+                    break
+            length += 1
+        used.add(chosen)
+        out[i] = chosen
+    return out
+
+
+def test_ec_enumerate_matches_reference_scan():
+    full = list(ec_enumerate(500).items())
+    assert full == list(ec_reference(500).items())
+    for count in range(1, 500):
+        assert list(ec_enumerate(count).items()) == full[:count], count
+
+
+def test_ec_enumerate_closed_form():
+    # 2, 3 and 5 are special; from p_4 = 7 on, p_k takes the constant p_(k-1)
+    primes = first_primes(10**4)
+    got = [(i, f.prefix, f.tail) for i, f in ec_enumerate(10**4).items()]
+    expect = [(2, (), 2), (3, (), 3), (5, (2,), 3)]
+    expect += [(p, (), q) for q, p in zip(primes[2:], primes[3:])]
+    assert got == expect
+
+
+def test_ec_enumerate_validates_only_returned_functions(monkeypatch):
+    checked = []
+
+    def is_prime(v):
+        checked.append(v)
+        return True
+
+    monkeypatch.setattr(constructions, "is_prime", is_prime)
+    asg = ec_enumerate(200)
+    assert sorted(checked) == sorted(v for f in asg.values() for v in (*f.prefix, f.tail))
 
 
 def test_g_value():

@@ -3,11 +3,15 @@
 Every subcommand runs one library operation or verifier and emits a
 single structured report: one JSON object per line under --format json
 (field order fixed for diff-based comparison), or an indented text
-rendering.  Exit status is 0 for a value or a passing verification, 1
-when a verifier found real violations, 2 for usage errors.  Violation
-lists in reports are complete up to the stated bounds; timing is the
-only non-deterministic field.  Exit status 3 marks an unexpected error
-inside ultradiv.  Handlers import only the modules their subcommand needs.
+rendering.  A handler takes (args, params), records its arguments in
+params as it reads them and returns (outcome, payload); main() wraps
+every outcome, errors included, in one envelope: command, params,
+outcome, the payload's fields, elapsed_ms.  Exit status follows the
+outcome: 0 for a value or a passing verification, 1 when a verifier
+found real violations, 2 for usage errors, 3 for an unexpected error
+inside ultradiv.  Violation lists in reports are complete up to the
+stated bounds; timing is the only non-deterministic field.  Handlers
+import only the modules their subcommand needs.
 """
 
 from __future__ import annotations
@@ -67,18 +71,15 @@ def emit(report: dict, fmt: str) -> None:
         print("\n".join(_render_text(report)))
 
 
-def _report(command: str, params: dict, outcome: str, payload: dict, t0: float) -> dict:
-    rep = {"command": command, "params": params, "outcome": outcome}
-    rep.update(payload)
-    rep["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    return rep
+def _assignment(asg) -> dict:
+    return {str(k): list(v) for k, v in asg.items()}
 
 
-def cmd_classify(args, t0):
+def cmd_classify(args, params):
     from .arith import _PSI_12, factorize
     from .patterns import Pattern, shape_name, sigma
 
-    n = args.n
+    n = params["n"] = args.n
     # one factorization feeds what level_of, pattern_of and shape_class would each redo
     fac = factorize(n)
     pat = Pattern([(p, e, 1) for p, e in fac.items()])
@@ -94,220 +95,211 @@ def cmd_classify(args, t0):
         shape = tuple(sorted(fac.values(), reverse=True))
         payload["shape"] = list(shape)
         payload["class"] = shape_name(shape)
-    return _report("classify", {"n": n}, "value", payload, t0), 0
+    return "value", payload
 
 
-def cmd_divides(args, t0):
+def cmd_divides(args, params):
     from .filters import FinFilter, divides_down, divides_up
 
-    universe = args.universe or max(args.m, args.n)
-    if max(args.m, args.n) > universe:
+    m, n = args.m, args.n
+    universe = args.universe or max(m, n)
+    params.update(m=m, n=n, universe=universe)
+    if max(m, n) > universe:
         raise ValueError("arguments exceed the universe bound")
-    x = FinFilter.principal(args.m, universe)
-    y = FinFilter.principal(args.n, universe)
-    up, down = divides_up(x, y), divides_down(x, y)
-    params = {"m": args.m, "n": args.n, "universe": universe}
-    return _report("divides", params, "value",
-                   {"divides_up": up, "divides_down": down}, t0), 0
+    x, y = FinFilter.principal(m, universe), FinFilter.principal(n, universe)
+    return "value", {"divides_up": divides_up(x, y), "divides_down": divides_down(x, y)}
 
 
-def cmd_product(args, t0):
+def cmd_product(args, params):
     from .filters import product_principal
 
-    W = args.universe or args.m * args.n
-    value = product_principal(args.m, args.n, W)
-    params = {"m": args.m, "n": args.n, "universe": W}
-    return _report("product", params, "value", {"value": value}, t0), 0
+    params.update(m=args.m, n=args.n, universe=args.universe or args.m * args.n)
+    return "value", {"value": product_principal(args.m, args.n, params["universe"])}
 
 
-def cmd_color(args, t0):
+def cmd_color(args, params):
     from .coloring import class_of, color_pair, color_tuple
 
-    if args.mode == "pair":
-        if len(args.values) != 2:
-            raise ValueError("color pair needs exactly two numbers")
-        a, b = args.values
-        return _report("color", {"mode": "pair", "a": a, "b": b}, "value",
-                       {"color": color_pair(a, b)}, t0), 0
-    if args.mode == "tuple":
-        return _report("color", {"mode": "tuple", "indices": sorted(set(args.values))},
-                       "value", {"color": color_tuple(args.values)}, t0), 0
-    if len(args.values) != 2:
-        raise ValueError("color class needs an arity and a number")
-    arity, x = args.values
-    return _report("color", {"mode": "class", "arity": arity, "x": x}, "value",
-                   {"class": class_of(arity, x)}, t0), 0
+    mode, values = args.mode, args.values
+    params["mode"] = mode
+    if mode == "tuple":
+        params["indices"] = sorted(set(values))
+        return "value", {"color": color_tuple(values)}
+    if len(values) != 2:
+        raise ValueError("color pair needs exactly two numbers" if mode == "pair"
+                         else "color class needs an arity and a number")
+    if mode == "pair":
+        params["a"], params["b"] = values
+        return "value", {"color": color_pair(*values)}
+    params["arity"], params["x"] = values
+    return "value", {"class": class_of(*values)}
 
 
-def cmd_verify(args, t0):
-    from .coloring import check_thick_lemmas, verify_progr, verify_refinement
-
-    suite = args.suite
-    if suite == "progr":
-        rep = verify_progr(args.k, args.a0_max, args.d_max)
-        params = {"suite": suite, "k": args.k, "a0_max": args.a0_max, "d_max": args.d_max}
-        payload = {
-            "checked": rep.checked,
-            "violation_count": len(rep.violations),
-            "violations": [
-                {"start": a0, "step": d, "terms": list(terms)}
-                for a0, d, terms in rep.violations
-            ],
-        }
-        ok = rep.ok
-    elif suite == "refinement":
-        rep = verify_refinement(args.arity, args.index_bound)
-        params = {"suite": suite, "arity": args.arity, "index_bound": args.index_bound}
-        payload = {
-            "checked": rep.checked,
-            "violation_count": len(rep.violations),
-            "violations": [list(v) for v in rep.violations],
-        }
-        ok = rep.ok
-    elif suite == "thick-lemmas":
-        rep = check_thick_lemmas(samples=args.samples, seed=args.seed)
-        params = {"suite": suite, "samples": args.samples, "seed": args.seed}
-        payload = {
-            "monotone_hits": rep.monotone_hits,
-            "union_hits": rep.union_hits,
-            "arity_hits": rep.arity_hits,
-            "failure_count": len(rep.failures),
-            "failures": rep.failures,
-        }
-        ok = rep.ok
-    elif suite == "g-disjoint":
-        from .constructions import ec_enumerate, verify_g_disjoint
-
-        asg = ec_enumerate(args.count)
-        collisions = []
-        pairs = 0
-        for m in range(1, args.stages + 1):
-            for n in range(m + 1, args.stages + 1):
-                pairs += 1
-                sub = verify_g_disjoint(asg, m, n)
-                collisions.extend(
-                    {"m": m, "n": n, "index_m": im, "index_n": jn, "value": v}
-                    for im, jn, v in sub.collisions
-                )
-        params = {"suite": suite, "count": args.count, "stages": args.stages}
-        payload = {"pairs_checked": pairs, "collision_count": len(collisions),
-                   "collisions": collisions}
-        ok = not collisions
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown suite {suite!r}")
-    return _report("verify", params, "pass" if ok else "fail", payload, t0), (0 if ok else 1)
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
-def _pattern_and_assignment(raw_pattern: str, raw_assign: str | None):
-    from .patterns import parse_assignment, parse_pattern
+def cmd_progr(args, params):
+    from .coloring import verify_progr
 
+    params.update(suite=args.suite, k=args.k, a0_max=args.a0_max, d_max=args.d_max)
+    rep = verify_progr(args.k, args.a0_max, args.d_max)
+    violations = [{"start": a0, "step": d, "terms": list(terms)}
+                  for a0, d, terms in rep.violations]
+    return _verdict(rep.ok), {"checked": rep.checked, "violation_count": len(violations),
+                              "violations": violations}
+
+
+def cmd_refinement(args, params):
+    from .coloring import verify_refinement
+
+    params.update(suite=args.suite, arity=args.arity, index_bound=args.index_bound)
+    rep = verify_refinement(args.arity, args.index_bound)
+    return _verdict(rep.ok), {"checked": rep.checked, "violation_count": len(rep.violations),
+                              "violations": [list(v) for v in rep.violations]}
+
+
+def cmd_thick_lemmas(args, params):
+    from .coloring import check_thick_lemmas
+
+    params.update(suite=args.suite, samples=args.samples, seed=args.seed)
+    rep = check_thick_lemmas(samples=args.samples, seed=args.seed)
+    return _verdict(rep.ok), {
+        "monotone_hits": rep.monotone_hits,
+        "union_hits": rep.union_hits,
+        "arity_hits": rep.arity_hits,
+        "failure_count": len(rep.failures),
+        "failures": rep.failures,
+    }
+
+
+def cmd_g_disjoint(args, params):
+    from itertools import combinations
+
+    from .constructions import ec_enumerate, verify_g_disjoint
+
+    params.update(suite=args.suite, count=args.count, stages=args.stages)
+    asg = ec_enumerate(args.count)
+    pairs = list(combinations(range(1, args.stages + 1), 2))
+    collisions = [{"m": m, "n": n, "index_m": im, "index_n": jn, "value": v}
+                  for m, n in pairs for im, jn, v in verify_g_disjoint(asg, m, n).collisions]
+    return _verdict(not collisions), {"pairs_checked": len(pairs),
+                                      "collision_count": len(collisions),
+                                      "collisions": collisions}
+
+
+def cmd_falpha(args, params):
+    from .patterns import generate_falpha, parse_assignment, parse_pattern
+
+    raw_pattern, raw_assign = args.pattern, args.assign
     if "|" in raw_pattern and raw_assign is None:
         raw_pattern, raw_assign = raw_pattern.split("|", 1)
-    if raw_assign is None:
-        raw_assign = ""
-    return parse_pattern(raw_pattern), parse_assignment(raw_assign)
-
-
-def cmd_falpha(args, t0):
-    from .patterns import generate_falpha
-
-    pat, asg = _pattern_and_assignment(args.pattern, args.assign)
+    pat, asg = parse_pattern(raw_pattern), parse_assignment(raw_assign or "")
+    params.update(pattern=pat.to_text(), assignment=_assignment(asg))
     out = generate_falpha(pat, asg, max_elements=args.max_elements)
-    params = {"pattern": pat.to_text(),
-              "assignment": {str(k): list(v) for k, v in asg.items()}}
-    return _report("falpha", params, "value",
-                   {"size": len(out), "values": sorted(out)}, t0), 0
+    return "value", {"size": len(out), "values": sorted(out)}
 
 
-def cmd_witness(args, t0):
-    from .patterns import parse_assignment, parse_pattern, witness_set
+def _read_pair(args, params):
+    """alpha, beta and --assign of witness and extend, parsed and recorded."""
+    from .patterns import parse_assignment, parse_pattern
 
-    alpha = parse_pattern(args.alpha)
-    beta = parse_pattern(args.beta)
+    alpha, beta = parse_pattern(args.alpha), parse_pattern(args.beta)
     asg = parse_assignment(args.assign or "")
+    params.update(alpha=alpha.to_text(), beta=beta.to_text(), assignment=_assignment(asg))
+    return alpha, beta, asg
+
+
+def cmd_witness(args, params):
+    from .patterns import witness_set
+
+    alpha, beta, asg = _read_pair(args, params)
+    params["window"] = args.window
     cert = witness_set(alpha, beta, asg, window=args.window)
-    params = {
-        "alpha": alpha.to_text(), "beta": beta.to_text(),
-        "assignment": {str(k): list(v) for k, v in asg.items()},
-        "window": args.window,
-    }
     payload = {"certificate": cert.summary(),
                "alpha_set": sorted(cert.alpha_set),
                "beta_set": sorted(cert.beta_set)}
     if cert.upward is not None:
         payload["upward"] = sorted(cert.upward)
-    return _report("witness", params, "pass" if cert.ok else "fail", payload, t0), (
-        0 if cert.ok else 1
-    )
+    return _verdict(cert.ok), payload
 
 
-def cmd_extend(args, t0):
-    from .patterns import extend_divisible, parse_assignment, parse_pattern
+def cmd_extend(args, params):
+    from .patterns import extend_divisible
 
-    alpha = parse_pattern(args.alpha)
-    beta = parse_pattern(args.beta)
-    asg = parse_assignment(args.assign or "")
-    value = extend_divisible(args.l, alpha, beta, asg)
-    params = {"l": args.l, "alpha": alpha.to_text(), "beta": beta.to_text(),
-              "assignment": {str(k): list(v) for k, v in asg.items()}}
-    return _report("extend", params, "value",
-                   {"value": value, "ratio": value // args.l}, t0), 0
+    params["l"] = args.l
+    value = extend_divisible(args.l, *_read_pair(args, params))
+    return "value", {"value": value, "ratio": value // args.l}
 
 
-def cmd_thick(args, t0):
-    from .coloring import ThickParams, is_thick_bounded
+def _thick_params(args, params):
+    """The thickness bounds of thick and greedy, recorded and validated."""
+    from .coloring import ThickParams
+
+    params.update(m_max=args.m_max, k_max=args.k_max, arity=args.arity)
+    return ThickParams(args.m_max, args.k_max, args.arity)
+
+
+def cmd_thick(args, params):
+    from .coloring import is_thick_bounded
 
     primes = sorted(_parse_prime_sets(args.primes)[0]) if args.primes.strip() else []
-    params_obj = ThickParams(m_max=args.m_max, k_max=args.k_max, n=args.arity)
-    res = is_thick_bounded(primes, params_obj, max_set=args.max_set,
+    params["primes"] = primes
+    res = is_thick_bounded(primes, _thick_params(args, params), max_set=args.max_set,
                            max_parts=args.max_parts)
-    params = {"primes": primes, "m_max": args.m_max, "k_max": args.k_max,
-              "arity": args.arity}
     payload: dict = {"thick": res.thick}
     if res.certificate is not None:
         payload["certificate"] = res.certificate
-    return _report("thick", params, "value", payload, t0), 0
+    return "value", payload
 
 
-def cmd_ecfun(args, t0):
+def cmd_ecfun(args, params):
     from .constructions import ec_enumerate
 
-    asg = ec_enumerate(args.count)
-    listing = [
-        {"index": i, "prefix": list(f.prefix), "tail": f.tail}
-        for i, f in asg.items()
-    ]
-    return _report("ecfun", {"count": args.count}, "value",
-                   {"assignment": listing}, t0), 0
+    params["count"] = args.count
+    listing = [{"index": i, "prefix": list(f.prefix), "tail": f.tail}
+               for i, f in ec_enumerate(args.count).items()]
+    return "value", {"assignment": listing}
 
 
-def cmd_greedy(args, t0):
-    from .coloring import ThickParams
+def cmd_greedy(args, params):
     from .constructions import greedy_thick_extend
 
     seeds = _parse_prime_sets(args.seeds)
     candidates = _parse_prime_sets(args.candidates) if args.candidates else []
-    params_obj = ThickParams(m_max=args.m_max, k_max=args.k_max, n=args.arity)
-    family, log = greedy_thick_extend(seeds, candidates, params_obj,
+    params.update(seeds=[sorted(s) for s in seeds], candidates=[sorted(c) for c in candidates])
+    family, log = greedy_thick_extend(seeds, candidates, _thick_params(args, params),
                                       max_set=args.max_set, max_parts=args.max_parts)
-    params = {"seeds": [sorted(s) for s in seeds],
-              "candidates": [sorted(c) for c in candidates],
-              "m_max": args.m_max, "k_max": args.k_max, "arity": args.arity}
     dead = sum(1 for e in log if e["kept"] is None)
-    payload = {"family": [sorted(s) for s in family], "dead_ends": dead, "log": log}
-    return _report("greedy", params, "value", payload, t0), 0
+    return "value", {"family": [sorted(s) for s in family], "dead_ends": dead, "log": log}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--universe", type=int, default=None,
-                        help="bound of the finite universe {1..N}")
-    common.add_argument("--window", type=int, default=None,
-                        help="window for closure-style results")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized harnesses")
-    common.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (one JSON object per line)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text",
+                     help="report format (one JSON object per line)")
+    principal = argparse.ArgumentParser(add_help=False)  # divides, product
+    principal.add_argument("m", type=int)
+    principal.add_argument("n", type=int)
+    principal.add_argument("--universe", type=int, default=None,
+                           help="bound of the finite universe {1..N}")
+    lifted = argparse.ArgumentParser(add_help=False)  # extend: the number to lift comes before the patterns
+    lifted.add_argument("l", type=int)
+    pair = argparse.ArgumentParser(add_help=False)  # witness, extend
+    pair.add_argument("alpha")
+    pair.add_argument("beta")
+    pair.add_argument("--assign", default=None, help='prime pools "label:p1,p2;label:p1,..."')
+    bounds = argparse.ArgumentParser(add_help=False)  # thick, greedy
+    bounds.add_argument("--arity", type=int, default=2)
+    bounds.add_argument("--k-max", type=int, default=1)
+    bounds.add_argument("--m-max", type=int, default=1)
+    bounds.add_argument("--max-set", type=int, default=None, help="override set-size guard")
+    bounds.add_argument("--max-parts", type=int, default=None, help="override parts guard")
+
+    def leaf(subparsers, name, fn, help, *parents):
+        p = subparsers.add_parser(name, parents=[*parents, fmt], help=help)
+        p.set_defaults(fn=fn)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="ultradiv",
@@ -317,119 +309,79 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
-                       help="level, pattern and shape class of a number")
+    p = leaf(sub, "classify", cmd_classify, "level, pattern and shape class of a number")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("divides", parents=[common],
-                       help="both divisibility routes on principal filters")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=cmd_divides)
-
-    p = sub.add_parser("product", parents=[common],
-                       help="principal filter product")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("color", parents=[common],
-                       help="pair color, tuple color, or product class")
+    leaf(sub, "divides", cmd_divides, "both divisibility routes on principal filters",
+         principal)
+    leaf(sub, "product", cmd_product, "principal filter product", principal)
+    p = leaf(sub, "color", cmd_color, "pair color, tuple color, or product class")
     p.add_argument("mode", choices=("pair", "tuple", "class"))
     p.add_argument("values", type=int, nargs="+")
-    p.set_defaults(fn=cmd_color)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run an exhaustive or randomized verifier suite")
-    p.add_argument("suite", choices=("progr", "refinement", "thick-lemmas", "g-disjoint"))
-    p.add_argument("--k", type=int, default=2, help="color index (progr)")
-    p.add_argument("--a0-max", type=int, default=256, help="max start (progr)")
-    p.add_argument("--d-max", type=int, default=32, help="max step (progr)")
-    p.add_argument("--arity", type=int, default=2, help="product arity (refinement)")
-    p.add_argument("--index-bound", type=int, default=20,
-                   help="prime index bound (refinement)")
-    p.add_argument("--samples", type=int, default=100, help="instances (thick-lemmas)")
-    p.add_argument("--count", type=int, default=100, help="index primes (g-disjoint)")
-    p.add_argument("--stages", type=int, default=4, help="stage bound (g-disjoint)")
-    p.set_defaults(fn=cmd_verify)
+    verify = sub.add_parser("verify", help="run an exhaustive or randomized verifier suite")
+    suites = verify.add_subparsers(dest="suite", required=True)
+    p = leaf(suites, "progr", cmd_progr, "progressions of length 2^k + 1 hold a k-colored pair")
+    p.add_argument("--k", type=int, default=2, help="color index")
+    p.add_argument("--a0-max", type=int, default=256, help="max start")
+    p.add_argument("--d-max", type=int, default=32, help="max step")
+    p = leaf(suites, "refinement", cmd_refinement, "dropping the largest index keeps the class")
+    p.add_argument("--arity", type=int, default=2, help="product arity")
+    p.add_argument("--index-bound", type=int, default=20, help="prime index bound")
+    p = leaf(suites, "thick-lemmas", cmd_thick_lemmas,
+             "randomized harness over the thickness closure properties")
+    p.add_argument("--samples", type=int, default=100, help="instances per property")
+    p.add_argument("--seed", type=int, default=0, help="seed of the instances")
+    p = leaf(suites, "g-disjoint", cmd_g_disjoint, "stage images of the index maps are disjoint")
+    p.add_argument("--count", type=int, default=100, help="index primes")
+    p.add_argument("--stages", type=int, default=4, help="stage bound")
 
-    p = sub.add_parser(
-        "falpha", parents=[common],
-        help='generate the set of a pattern, e.g. "(p,1)x2" --assign "p:3,5,7"',
-    )
+    p = leaf(sub, "falpha", cmd_falpha,
+             'generate the set of a pattern, e.g. "(p,1)x2" --assign "p:3,5,7"')
     p.add_argument("pattern", help='entries "(label,exp)xmult", comma separated; '
                                    '"{}" for empty; "PATTERN | ASSIGN" also accepted')
     p.add_argument("--assign", default=None,
                    help='prime pools "label:p1,p2;label:p1,..."')
     p.add_argument("--max-elements", type=int, default=None,
                    help="override the generated-set size guard")
-    p.set_defaults(fn=cmd_falpha)
-
-    p = sub.add_parser("witness", parents=[common],
-                       help="separating certificate for a non-dominated pair")
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--assign", default=None)
-    p.set_defaults(fn=cmd_witness)
-
-    p = sub.add_parser("extend", parents=[common],
-                       help="lift a generated number to a dominating pattern")
-    p.add_argument("l", type=int)
-    p.add_argument("alpha")
-    p.add_argument("beta")
-    p.add_argument("--assign", default=None)
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("thick", parents=[common],
-                       help="bounded thickness test with certificate")
+    p = leaf(sub, "witness", cmd_witness, "separating certificate for a non-dominated pair",
+             pair)
+    p.add_argument("--window", type=int, default=None,
+                   help="also report the upward closure of the generators within {1..N}")
+    leaf(sub, "extend", cmd_extend, "lift a generated number to a dominating pattern",
+         lifted, pair)
+    p = leaf(sub, "thick", cmd_thick, "bounded thickness test with certificate", bounds)
     p.add_argument("primes", help='comma-separated prime set, e.g. "2,3,5,7"')
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=1)
-    p.add_argument("--max-set", type=int, default=None, help="override set-size guard")
-    p.add_argument("--max-parts", type=int, default=None, help="override parts guard")
-    p.set_defaults(fn=cmd_thick)
-
-    p = sub.add_parser("ecfun", parents=[common],
-                       help="canonical eventually-constant function assignment")
+    p = leaf(sub, "ecfun", cmd_ecfun, "canonical eventually-constant function assignment")
     p.add_argument("count", type=int)
-    p.set_defaults(fn=cmd_ecfun)
-
-    p = sub.add_parser("greedy", parents=[common],
-                       help="greedy thickness-preserving family extension")
+    p = leaf(sub, "greedy", cmd_greedy, "greedy thickness-preserving family extension", bounds)
     p.add_argument("--seeds", required=True,
                    help='prime sets "2,3,5;7,11" (semicolon separated)')
     p.add_argument("--candidates", default="",
                    help="candidate prime sets, same syntax")
-    p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=1)
-    p.add_argument("--m-max", type=int, default=1)
-    p.add_argument("--max-set", type=int, default=None)
-    p.add_argument("--max-parts", type=int, default=None)
-    p.set_defaults(fn=cmd_greedy)
-
     return parser
 
 
+EXIT_CODES = {"value": 0, "pass": 0, "fail": 1, "error": 2, "internal_error": 3}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    params: dict = {}  # each handler records its arguments here as it reads them
     try:
-        report, code = args.fn(args, t0)
+        outcome, payload = args.fn(args, params)
     except (ValueError, GuardExceeded) as exc:
-        report, code = {"command": args.cmd, "outcome": "error", "error": str(exc)}, 2
+        outcome, payload = "error", {"error": str(exc)}
     except Exception as exc:  # a fault in ultradiv, kept apart from "violations found" (1)
         import traceback
 
         traceback.print_exc()
-        report, code = {"command": args.cmd, "outcome": "internal_error",
-                        "error_type": type(exc).__name__, "error": str(exc)}, 3
-    # a handler's own report carries elapsed_ms already; an error report gains it here
-    report.setdefault("elapsed_ms", round((time.perf_counter() - t0) * 1000, 3))
+        outcome, payload = "internal_error", {"error_type": type(exc).__name__,
+                                              "error": str(exc)}
+    report = {"command": args.cmd, "params": params, "outcome": outcome, **payload,
+              "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3)}
     emit(report, args.format)
-    return code
+    return EXIT_CODES[outcome]
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
@@ -40,8 +39,7 @@ __all__ = [
     "check_thick_lemmas",
     "coloring_from_set",
     "find_monochromatic",
-    "ProgressionReport",
-    "RefinementReport",
+    "VerifyReport",
     "ThickLemmasReport",
 ]
 
@@ -102,32 +100,36 @@ def class_of(n: int, x: int) -> int:
 # --- exhaustive verifiers -----------------------------------------------------
 
 
-@dataclass
-class ProgressionReport:
-    """Exhaustive check that length-(2^k + 1) progressions contain a k-pair."""
+class VerifyReport:
+    """Result of an exhaustive verifier: how many instances it checked and
+    every violation it found."""
 
-    k: int
-    a0_max: int
-    d_max: int
-    checked: int
-    violations: list[tuple[int, int, tuple[int, ...]]]  # (start, step, terms)
+    __slots__ = ("checked", "violations")
+
+    def __init__(self, checked: int, violations: list):
+        self.checked = checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def verify_progr(k: int, a0_max: int, d_max: int) -> ProgressionReport:
+def verify_progr(k: int, a0_max: int, d_max: int) -> VerifyReport:
     """Scan every progression with start <= a0_max, step <= d_max and
-    length 2^k + 1 for a pair colored k; violations are collected in full.
+    length 2^k + 1 for a pair colored k; violations, each (start, step,
+    terms), are collected in full.
     """
     if k < 1:
         raise ValueError("color index must be >= 1")
     if a0_max < 1 or d_max < 1:
         raise ValueError("start and step bounds must be >= 1")
+    # from k = 64 on the guards see 2^64, a lower bound for 2^k + 1, so a
+    # huge k trips them before 2^k is ever built
+    estimate = 2**k + 1 if k < 64 else 2**64
+    check_guard(estimate, 2**12 + 1, "progression length")
+    check_guard(a0_max * d_max * math.comb(estimate, 2), MAX_VERIFY_WORK, "progression pair checks")
     length = 2**k + 1
-    check_guard(length, 2**12 + 1, "progression length")
-    check_guard(a0_max * d_max * math.comb(length, 2), MAX_VERIFY_WORK, "progression pair checks")
     # gap-1 pairs first: the intended witness is usually adjacent
     pair_order = sorted(combinations(range(length), 2), key=lambda ij: ij[1] - ij[0])
     violations = []
@@ -141,24 +143,10 @@ def verify_progr(k: int, a0_max: int, d_max: int) -> ProgressionReport:
                     break
             else:
                 violations.append((s + 1, d, tuple(range(s + 1, s + 1 + length * d, d))))
-    return ProgressionReport(k, a0_max, d_max, a0_max * d_max, violations)
+    return VerifyReport(a0_max * d_max, violations)
 
 
-@dataclass
-class RefinementReport:
-    """Check that dropping the largest index never changes the class."""
-
-    arity: int
-    index_bound: int
-    checked: int
-    violations: list[tuple[int, ...]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_refinement(n: int, index_bound: int) -> RefinementReport:
+def verify_refinement(n: int, index_bound: int) -> VerifyReport:
     """For every (n+1)-subset of {1..index_bound}: color with and without
     the largest member must agree.
 
@@ -187,7 +175,7 @@ def verify_refinement(n: int, index_bound: int) -> RefinementReport:
             tup = prefix + (last,)
             if color_tuple(tup, n + 1) != color:
                 violations.append(tup)
-    return RefinementReport(n, index_bound, checked, violations)
+    return VerifyReport(checked, violations)
 
 
 def find_mono_ap(partition: Iterable[Iterable[int]], length: int) -> tuple[int, ...] | None:
@@ -220,27 +208,29 @@ def find_mono_ap(partition: Iterable[Iterable[int]], length: int) -> tuple[int, 
 # --- bounded thickness ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ThickParams:
-    """Bounds for the finitized thickness test."""
+    """Bounds for the finitized thickness test: partitions into at most
+    m_max parts, classes 1..k_max to be met, products of n primes."""
 
-    m_max: int  # partitions up to this many parts
-    k_max: int  # classes 1..k_max must all be met
-    n: int = 2  # product arity
+    __slots__ = ("m_max", "k_max", "n")
 
-    def __post_init__(self):
-        if self.m_max < 1 or self.k_max < 1 or self.n < 1:
+    def __init__(self, m_max: int, k_max: int, n: int = 2):
+        if m_max < 1 or k_max < 1 or n < 1:
             raise ValueError("thickness parameters must be >= 1")
+        self.m_max = m_max
+        self.k_max = k_max
+        self.n = n
+
+    def __repr__(self) -> str:
+        return f"ThickParams(m_max={self.m_max}, k_max={self.k_max}, n={self.n})"
 
 
-@dataclass
 class ThickResult:
-    thick: bool
-    params: ThickParams
-    certificate: dict | None = None  # violating partition when not thick
+    __slots__ = ("thick", "certificate")
 
-    def __bool__(self) -> bool:
-        return self.thick
+    def __init__(self, thick: bool, certificate: dict | None = None):
+        self.thick = thick
+        self.certificate = certificate  # violating partition when not thick
 
 
 def _partitions_bounded(items: tuple, max_parts: int):
@@ -311,7 +301,7 @@ def is_thick_bounded(
     check_guard(len(primes), MAX_THICK_SET, "thickness set size", cap=max_set)
     check_guard(params.m_max, MAX_THICK_PARTS, "thickness partition size", cap=max_parts)
     if not primes:
-        return ThickResult(False, params, {"partition": [], "missing": []})
+        return ThickResult(False, {"partition": [], "missing": []})
     index_of = {p: prime_index(p) for p in primes}
     indices = tuple(sorted(index_of[p] for p in primes))
     back = {i: p for p, i in index_of.items()}
@@ -325,27 +315,25 @@ def is_thick_bounded(
         else:
             return ThickResult(
                 False,
-                params,
                 {
                     "partition": [sorted(back[i] for i in part) for part in partition],
                     "missing": missing,
                 },
             )
-    return ThickResult(True, params)
+    return ThickResult(True)
 
 
-@dataclass
 class ThickLemmasReport:
     """Randomized harness over the three closure properties of bounded
     thickness (supersets stay thick; unions of non-thick sets stay
     non-thick with added part budgets; non-thickness climbs arity)."""
 
-    samples: int
-    seed: int
-    monotone_hits: int = 0
-    union_hits: int = 0
-    arity_hits: int = 0
-    failures: list[dict] = field(default_factory=list)
+    __slots__ = ("samples", "monotone_hits", "union_hits", "arity_hits", "failures")
+
+    def __init__(self, samples: int):
+        self.samples = samples
+        self.monotone_hits = self.union_hits = self.arity_hits = 0
+        self.failures: list[dict] = []
 
     @property
     def ok(self) -> bool:
@@ -360,7 +348,7 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> Thi
     """
     rng = random.Random(seed)
     primes = first_primes(pool)
-    report = ThickLemmasReport(samples=samples, seed=seed)
+    report = ThickLemmasReport(samples)
 
     def rand_set(lo, hi):
         size = rng.randrange(lo, hi + 1)
@@ -370,14 +358,14 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> Thi
         # (i) monotonicity: thick(A) and A <= B forces thick(B)
         B = rand_set(2, 8)
         A = frozenset(x for x in B if rng.random() < 0.7) or B
-        params = ThickParams(m_max=rng.randrange(1, 3), k_max=rng.randrange(1, 3),
-                             n=rng.choice((2, 2, 3)))
+        bounds = {"m_max": rng.randrange(1, 3), "k_max": rng.randrange(1, 3),
+                  "n": rng.choice((2, 2, 3))}
+        params = ThickParams(**bounds)
         if is_thick_bounded(A, params).thick:
             report.monotone_hits += 1
             if not is_thick_bounded(B, params).thick:
                 report.failures.append(
-                    {"property": "monotone", "A": sorted(A), "B": sorted(B),
-                     "params": params.__dict__}
+                    {"property": "monotone", "A": sorted(A), "B": sorted(B), "params": bounds}
                 )
 
         # (ii) union: witnesses against A (m1 parts) and B (m2 parts)
@@ -400,14 +388,11 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> Thi
 
         # (iii) arity step: a witness at arity n works at arity n+1
         A = rand_set(2, 7)
-        pn = ThickParams(m_max=rng.randrange(1, 3), k_max=rng.randrange(1, 3), n=2)
-        if not is_thick_bounded(A, pn).thick:
+        bounds = {"m_max": rng.randrange(1, 3), "k_max": rng.randrange(1, 3), "n": 2}
+        if not is_thick_bounded(A, ThickParams(**bounds)).thick:
             report.arity_hits += 1
-            pn1 = ThickParams(m_max=pn.m_max, k_max=pn.k_max, n=3)
-            if is_thick_bounded(A, pn1).thick:
-                report.failures.append(
-                    {"property": "arity", "A": sorted(A), "params": pn.__dict__}
-                )
+            if is_thick_bounded(A, ThickParams(**{**bounds, "n": 3})).thick:
+                report.failures.append({"property": "arity", "A": sorted(A), "params": bounds})
     return report
 
 

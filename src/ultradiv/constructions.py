@@ -12,7 +12,6 @@ not guaranteed, so dead ends are first-class outcomes, not errors.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .arith import NatSet, first_primes, is_prime, primes_upto
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ECFunction:
     """Eventually constant function into the primes.
 
@@ -39,17 +37,32 @@ class ECFunction:
     stored in minimal form (the prefix never ends with the tail value).
     """
 
-    prefix: tuple[int, ...]
-    tail: int
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        for v in (*self.prefix, self.tail):
+    def __init__(self, prefix: Iterable[int], tail: int):
+        prefix = tuple(prefix)
+        for v in (*prefix, tail):
             if not is_prime(v):
                 raise ValueError(f"values must be prime, got {v}")
-        prefix = tuple(self.prefix)
-        while prefix and prefix[-1] == self.tail:
+        while prefix and prefix[-1] == tail:
             prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        self.prefix = prefix
+        self.tail = tail
+
+    @classmethod
+    def _trusted(cls, prefix: tuple[int, ...], tail: int) -> "ECFunction":
+        """Internal: prime values already in minimal form, taken unchecked."""
+        f = object.__new__(cls)
+        f.prefix = prefix
+        f.tail = tail
+        return f
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ECFunction)
+                and (self.prefix, self.tail) == (other.prefix, other.tail))
+
+    def __hash__(self) -> int:
+        return hash((self.prefix, self.tail))
 
     def __call__(self, n: int) -> int:
         if n < 1:
@@ -98,12 +111,12 @@ def ec_enumerate(count: int) -> dict[int, ECFunction]:
     for k, i in enumerate(index_primes):
         allowed = k + 1 if i in (2, 3) else k  # values allowed at i: index_primes[:allowed]
         if const < allowed:
-            out[i] = ECFunction((), index_primes[const])
+            out[i] = ECFunction._trusted((), index_primes[const])
             const += 1
             continue
         key = next(key for key in _nonconstant_keys(index_primes[:allowed]) if key not in used)
         used.add(key)
-        out[i] = ECFunction(*key)
+        out[i] = ECFunction._trusted(*key)
     return out
 
 
@@ -128,12 +141,12 @@ def g_value(asg: Mapping[int, ECFunction], i: int, n: int) -> int:
     return i * asg[i](n)
 
 
-@dataclass
 class GDisjointReport:
-    m: int
-    n: int
-    diff_indices: tuple[int, ...]  # where the assigned functions differ
-    collisions: list[tuple[int, int, int]]  # (index_m, index_n, shared value)
+    __slots__ = ("diff_indices", "collisions")
+
+    def __init__(self, diff_indices: tuple[int, ...], collisions: list[tuple[int, int, int]]):
+        self.diff_indices = diff_indices  # where the assigned functions differ
+        self.collisions = collisions  # (index_m, index_n, shared value)
 
     @property
     def ok(self) -> bool:
@@ -149,7 +162,7 @@ def verify_g_disjoint(asg: Mapping[int, ECFunction], m: int, n: int) -> GDisjoin
     gm = {g_value(asg, i, m): i for i in diff}
     gn = {g_value(asg, i, n): i for i in diff}
     collisions = [(gm[v], gn[v], v) for v in sorted(gm.keys() & gn.keys())]
-    return GDisjointReport(m, n, diff, collisions)
+    return GDisjointReport(diff, collisions)
 
 
 class ChainOfSets:

@@ -11,7 +11,6 @@ library asserts nothing beyond that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .arith import NatSet, quotient_set
@@ -33,22 +32,29 @@ class WindowOverflowError(ValueError):
     """A result escaped the finite universe instead of being truncated."""
 
 
-@dataclass(frozen=True)
 class FinFilter:
     """Filter over {1..bound} given by a nonempty core set."""
 
-    bound: int
-    core: frozenset
+    __slots__ = ("bound", "core")
 
-    def __post_init__(self):
-        object.__setattr__(self, "core", frozenset(self.core))
-        if self.bound < 1:
+    def __init__(self, bound: int, core: Iterable[int]):
+        core = frozenset(core)
+        if bound < 1:
             raise ValueError("universe bound must be >= 1")
-        if not self.core:
+        if not core:
             raise ValueError("filter core must be nonempty")
-        for x in self.core:
-            if not isinstance(x, int) or not 1 <= x <= self.bound:
-                raise ValueError(f"core element {x!r} outside universe 1..{self.bound}")
+        for x in core:
+            if not isinstance(x, int) or not 1 <= x <= bound:
+                raise ValueError(f"core element {x!r} outside universe 1..{bound}")
+        self.bound = bound
+        self.core = core
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, FinFilter)
+                and (self.bound, self.core) == (other.bound, other.core))
+
+    def __hash__(self) -> int:
+        return hash((self.bound, self.core))
 
     @classmethod
     def principal(cls, n: int, bound: int) -> "FinFilter":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Union
 
@@ -148,14 +147,19 @@ def restrict(alpha: Pattern, label: Label) -> tuple[int, ...]:
     return tuple(per_k.get(k, 0) for k in range(1, top + 1))
 
 
+def _least_excess(y: Iterable[int], x: Iterable[int]) -> int | None:
+    """Least threshold m whose tail sum x_m + x_(m+1) + ... exceeds y's,
+    or None when there is none."""
+    xs, ys = tuple(x), tuple(y)
+    for m in range(1, max(len(xs), len(ys)) + 1):
+        if sum(xs[m - 1 :]) > sum(ys[m - 1 :]):
+            return m
+    return None
+
+
 def dominates(y: Iterable[int], x: Iterable[int]) -> bool:
     """Tail-sum comparison: every tail sum of x is <= the tail sum of y."""
-    xs, ys = tuple(x), tuple(y)
-    top = max(len(xs), len(ys))
-    for m in range(top, 0, -1):
-        if sum(xs[m - 1 :]) > sum(ys[m - 1 :]):
-            return False
-    return True
+    return _least_excess(y, x) is None
 
 
 def pattern_leq(alpha: Pattern, beta: Pattern) -> bool:
@@ -307,7 +311,6 @@ def generate_falpha(
 # --- witness construction ----------------------------------------------------
 
 
-@dataclass
 class WitnessCertificate:
     """Separating-set certificate for a non-dominated ordered pair.
 
@@ -315,16 +318,22 @@ class WitnessCertificate:
     (covers_alpha) while no beta-generated number does (excludes_beta).
     """
 
-    label: Label
-    threshold: int
-    tail_alpha: int
-    tail_beta: int
-    generators: NatSet
-    alpha_set: NatSet
-    beta_set: NatSet
-    covers_alpha: bool
-    excludes_beta: bool
-    upward: NatSet | None = None
+    __slots__ = ("label", "threshold", "tail_alpha", "tail_beta", "generators",
+                 "alpha_set", "beta_set", "covers_alpha", "excludes_beta", "upward")
+
+    def __init__(self, label: Label, threshold: int, tail_alpha: int, tail_beta: int,
+                 generators: NatSet, alpha_set: NatSet, beta_set: NatSet,
+                 covers_alpha: bool, excludes_beta: bool, upward: NatSet | None = None):
+        self.label = label
+        self.threshold = threshold
+        self.tail_alpha = tail_alpha
+        self.tail_beta = tail_beta
+        self.generators = generators
+        self.alpha_set = alpha_set
+        self.beta_set = beta_set
+        self.covers_alpha = covers_alpha
+        self.excludes_beta = excludes_beta
+        self.upward = upward
 
     @property
     def ok(self) -> bool:
@@ -356,22 +365,16 @@ def witness_set(
     divisibility over the generated sets.
     """
     pools = check_assignment(asg, alpha, beta)
-    best: tuple[int, tuple, Label] | None = None
-    for label in sorted(set(alpha.support) | set(beta.support), key=_label_key):
-        xs, ys = restrict(alpha, label), restrict(beta, label)
-        top = max(len(xs), len(ys), 0)
-        for m in range(1, top + 1):
-            if sum(xs[m - 1 :]) > sum(ys[m - 1 :]):
-                cand = (m, _label_key(label), label)
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-                break
-    if best is None:
+    found = []
+    for label in set(alpha.support) | set(beta.support):
+        m = _least_excess(restrict(beta, label), restrict(alpha, label))
+        if m is not None:
+            found.append((m, _label_key(label), label))
+    if not found:
         raise NoWitnessError("no witness exists: alpha <= beta")
-    m, _key, label = best
+    m, _key, label = min(found)
 
     xs, ys = restrict(alpha, label), restrict(beta, label)
-    top = max(len(xs), len(ys))
     u = sum(xs[m - 1 :])
     v = sum(ys[m - 1 :])
     tail = Pattern([(label, k, xs[k - 1]) for k in range(m, len(xs) + 1) if xs[k - 1]])

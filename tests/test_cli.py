@@ -3,8 +3,10 @@ import json
 import pytest
 import sympy
 
+from test_imports import SUBCOMMANDS
 from ultradiv import arith, cli, patterns
 from ultradiv.cli import main
+from ultradiv.guards import ENV_VAR
 from ultradiv.patterns import pattern_of, shape_class, shape_name, sigma
 
 
@@ -90,11 +92,85 @@ def test_color(capsys):
 def test_usage_error_report_carries_elapsed_ms(capsys):
     code, rep = run_json(capsys, "product", "20", "30", "--universe", "100")
     assert code == 2
-    assert list(rep) == ["command", "outcome", "error", "elapsed_ms"]
+    assert list(rep) == ["command", "params", "outcome", "error", "elapsed_ms"]
+    assert rep["params"] == {"m": 20, "n": 30, "universe": 100}
+
+
+EXIT_CODES = {"value": 0, "pass": 0, "fail": 1, "error": 2, "internal_error": 3}
+
+# one error per subcommand form of test_imports.SUBCOMMANDS, in the same order;
+# thick-lemmas has no bad argument value, so its error is a guard set to 1
+ERROR_FORMS = [
+    (["classify", "0"], {}),
+    (["divides", "6", "42", "--universe", "10"], {}),
+    (["product", "20", "30", "--universe", "100"], {}),
+    (["color", "pair", "4", "4"], {}),
+    (["verify", "progr", "--a0-max", "0"], {}),
+    (["verify", "refinement", "--index-bound", "2"], {}),
+    (["verify", "thick-lemmas", "--samples", "2"], {ENV_VAR: "1"}),
+    (["verify", "g-disjoint", "--count", "0"], {}),
+    (["falpha", "(p,1)x2", "--assign", "p:3"], {}),
+    (["witness", "(p,1)", "(p,2)", "--assign", "p:2,3"], {}),
+    (["extend", "14", "(p,1)x2", "(p,1)x3", "--assign", "p:3,5,7"], {}),
+    (["thick", "2,3,5", "--m-max", "0"], {}),
+    (["ecfun", "0"], {}),
+    (["greedy", "--seeds", "2", "--candidates", "-"], {}),
+]
+
+
+def form(argv):
+    return argv[:2] if argv[0] == "verify" else argv[:1]
+
+
+def test_error_forms_match_the_subcommand_forms():
+    assert [form(a) for a, _env in ERROR_FORMS] == [form(a) for a, _needed in SUBCOMMANDS]
+
+
+SCHEMA_CASES = [(argv, {}, "success") for argv, _needed in SUBCOMMANDS]
+SCHEMA_CASES += [(argv, env, "error") for argv, env in ERROR_FORMS]
+SCHEMA_CASES += [(["verify", "progr", "--k", "1", "--a0-max", "8", "--d-max", "4"], {}, "fail")]
+
+
+@pytest.mark.parametrize("argv, env, kind", SCHEMA_CASES,
+                         ids=[f"{kind}: {' '.join(a[:2])}" for a, _e, kind in SCHEMA_CASES])
+def test_every_report_shares_one_envelope(capsys, monkeypatch, argv, env, kind):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, rep = run_json(capsys, *argv)
+    keys = list(rep)
+    assert keys[:3] == ["command", "params", "outcome"] and keys[-1] == "elapsed_ms"
+    assert rep["command"] == argv[0] and isinstance(rep["params"], dict)
+    assert code == EXIT_CODES[rep["outcome"]]
+    if kind == "success":
+        assert rep["outcome"] in ("value", "pass")
+    else:
+        assert rep["outcome"] == kind
+    if kind == "error":
+        assert keys == ["command", "params", "outcome", "error", "elapsed_ms"]
+    if argv[0] == "verify":
+        assert rep["params"]["suite"] == argv[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "360", "--seed", "4"],
+    ["classify", "360", "--universe", "3"],
+    ["divides", "6", "42", "--window", "9"],
+    ["witness", "(p,2)", "(p,1)", "--universe", "9"],
+    ["verify", "progr", "--count", "5"],
+    ["verify", "refinement", "--samples", "3"],
+    ["verify", "g-disjoint", "--seed", "1"],
+])
+def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
-    def stalled(args, t0):
+    def stalled(args, params):
+        params["count"] = args.count
         raise RuntimeError("enumeration stalled")
 
     monkeypatch.setattr(cli, "cmd_ecfun", stalled)
@@ -104,7 +180,8 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
     assert code == 3  # not 1, which means "violations found"
     assert rep["command"] == "ecfun" and rep["outcome"] == "internal_error"
     assert rep["error_type"] == "RuntimeError" and rep["error"] == "enumeration stalled"
-    assert rep["elapsed_ms"] >= 0
+    assert list(rep) == ["command", "params", "outcome", "error_type", "error", "elapsed_ms"]
+    assert rep["params"] == {"count": 5} and rep["elapsed_ms"] >= 0
     assert "Traceback" in captured.err
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -82,3 +83,24 @@ def test_verifier_work_guards_env(monkeypatch):
     assert verify_refinement(2, 20).checked == 1140
     assert verify_progr(2, 64, 16).checked == 1024
     assert math.comb(130, 65) > 2**64  # the refinement guard's lower bound past side 64
+
+
+@pytest.mark.parametrize("guard", [None, "100000"])
+@pytest.mark.parametrize("k", [20000, 10**10])
+def test_progr_guards_a_huge_k_before_building_its_length(monkeypatch, capsys, k, guard):
+    # 2^k + 1 is estimated by its lower bound 2^64, so neither 2^k nor its
+    # decimal form (over Python's 4300-digit limit at k = 20000) is built
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started before the guard")
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    if guard is not None:
+        monkeypatch.setenv(ENV_VAR, guard)
+    monkeypatch.setattr(coloring, "combinations", no_enumeration)
+    t0 = time.perf_counter()
+    code = main(["verify", "progr", "--k", str(k), "--a0-max", "1", "--d-max", "1",
+                 "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and rep["outcome"] == "error"
+    assert f"progression length = {2**64} exceeds guard cap" in rep["error"]
+    assert time.perf_counter() - t0 < 1

@@ -64,13 +64,15 @@ def fresh_python(code: str) -> str:
 
 @pytest.mark.parametrize("argv, needed", SUBCOMMANDS, ids=[" ".join(a[:2]) for a, _ in SUBCOMMANDS])
 def test_subcommand_loads_only_its_modules(argv, needed):
-    loaded = fresh_python(
+    loaded = set(json.loads(fresh_python(
         "import json, sys\n"
         "from ultradiv.cli import main\n"
         f"assert main({argv!r} + ['--format', 'json']) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'ultradiv')))\n"
-    )
-    assert set(json.loads(loaded)) == ALWAYS | needed
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )))
+    assert {m for m in loaded if m.split(".")[0] == "ultradiv"} == ALWAYS | needed
+    # dataclasses pulls in inspect: milliseconds of every cold call
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_bare_import_loads_no_submodule_but_reaches_all():

@@ -180,7 +180,7 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Floyd's cycle detection)."""
     if n % 2 == 0:
         return 2
     for c in range(1, n):
@@ -217,10 +217,7 @@ def factorize(n: int) -> dict[int, int]:
             bound = min(math.isqrt(n), TRIAL_DIVISION_BOUND)
     if n == 1:
         return out
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return out
-    # remaining part is composite with all prime factors > trial bound
+    # what remains has no prime factor up to the trial bound: a prime, or a job for rho
     stack = [n]
     while stack:
         m = stack.pop()
@@ -237,15 +234,6 @@ def smallest_prime_factor(n: int) -> int:
     """Least prime dividing n; defined for n >= 2 only."""
     if n < 2:
         raise ValueError("smallest_prime_factor is undefined on 1")
-    bound = math.isqrt(n)
-    if bound <= TRIAL_DIVISION_BOUND:
-        _extend_sieve(bound + 1)
-        for p in _primes:
-            if p > bound:
-                break
-            if n % p == 0:
-                return p
-        return n  # no factor up to sqrt(n): n is prime
     return min(factorize(n))
 
 

@@ -76,24 +76,24 @@ def _assignment(asg) -> dict:
 
 
 def cmd_classify(args, params):
-    from .arith import _PSI_12, factorize
-    from .patterns import Pattern, shape_name, sigma
+    from .arith import _PSI_12
+    from .patterns import pattern_of, restrict, shape_name, sigma
 
     n = params["n"] = args.n
-    # one factorization feeds what level_of, pattern_of and shape_class would each redo
-    fac = factorize(n)
-    pat = Pattern([(p, e, 1) for p, e in fac.items()])
+    # one factorization feeds level, pattern and shape; one slot per prime makes level = sigma
+    pat = pattern_of(n)
+    level = sigma(pat)
     payload = {
         "n": n,
-        "level": sum(fac.values()),
-        "sigma": sigma(pat),
+        "level": level,
+        "sigma": level,
         "pattern": pat.to_text(),
         # is_prime proves primality below psi_12 and is Baillie-PSW from there on
-        "primality": "proven" if all(p < _PSI_12 for p in fac) else "probable",
+        "primality": "proven" if all(p < _PSI_12 for p in pat.support) else "probable",
     }
     if n > 1:
-        shape = tuple(sorted(fac.values(), reverse=True))
-        payload["shape"] = list(shape)
+        shape = sorted((len(restrict(pat, p)) for p in pat.support), reverse=True)
+        payload["shape"] = shape
         payload["class"] = shape_name(shape)
     return "value", payload
 
@@ -102,7 +102,7 @@ def cmd_divides(args, params):
     from .filters import FinFilter, divides_down, divides_up
 
     m, n = args.m, args.n
-    universe = args.universe or max(m, n)
+    universe = max(m, n) if args.universe is None else args.universe
     params.update(m=m, n=n, universe=universe)
     if max(m, n) > universe:
         raise ValueError("arguments exceed the universe bound")
@@ -113,8 +113,9 @@ def cmd_divides(args, params):
 def cmd_product(args, params):
     from .filters import product_principal
 
-    params.update(m=args.m, n=args.n, universe=args.universe or args.m * args.n)
-    return "value", {"value": product_principal(args.m, args.n, params["universe"])}
+    universe = args.m * args.n if args.universe is None else args.universe
+    params.update(m=args.m, n=args.n, universe=universe)
+    return "value", {"value": product_principal(args.m, args.n, universe)}
 
 
 def cmd_color(args, params):
@@ -179,6 +180,8 @@ def cmd_g_disjoint(args, params):
     from .constructions import ec_enumerate, verify_g_disjoint
 
     params.update(suite=args.suite, count=args.count, stages=args.stages)
+    if args.stages < 2:
+        raise ValueError("stages must be >= 2")
     asg = ec_enumerate(args.count)
     pairs = list(combinations(range(1, args.stages + 1), 2))
     collisions = [{"m": m, "n": n, "index_m": im, "index_n": jn, "value": v}

@@ -64,8 +64,11 @@ def color_pair(a: int, b: int) -> int:
         raise ValueError("pair coloring needs two distinct numbers")
     if a < 1 or b < 1:
         raise ValueError("pair elements must be >= 1")
-    if a > b:
-        a, b = b, a
+    return _pair_color(a, b) if a < b else _pair_color(b, a)
+
+
+def _pair_color(a: int, b: int) -> int:
+    """color_pair for 1 <= a < b, unchecked."""
     merge = ((a - 1) ^ (b - 1)).bit_length()  # least n with both in one level-n block
     return merge - (b - a).bit_length() + 1
 
@@ -80,7 +83,7 @@ def color_tuple(indices: Iterable[int], n: int | None = None) -> int:
     a, b = xs[0], xs[1]
     if a < 1:
         raise ValueError("pair elements must be >= 1")
-    return ((a - 1) ^ (b - 1)).bit_length() - (b - a).bit_length() + 1  # color_pair(a, b)
+    return _pair_color(a, b)
 
 
 def class_of(n: int, x: int) -> int:
@@ -273,8 +276,7 @@ def _covers_all_classes(part: tuple[int, ...], n: int, k_max: int) -> tuple[bool
     for jb in range(1, size - n + 2):
         b = part[jb]
         for ja in range(jb):
-            c = color_pair(part[ja], b)
-            need.discard(c)
+            need.discard(_pair_color(part[ja], b))
             if not need:
                 return True, None
     return False, min(need)
@@ -346,6 +348,8 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> Thi
     Vacuous instances (premise not met) count as passes but not as hits;
     generation is biased so a healthy fraction of premises fire.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     primes = first_primes(pool)
     report = ThickLemmasReport(samples)

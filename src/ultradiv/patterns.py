@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Iterable, Mapping, Union
 
 from . import arith
@@ -68,83 +68,91 @@ def _label_key(label: Label):
 
 
 class Pattern:
-    """Finitely supported map (label, exponent) -> multiplicity (>= 1)."""
+    """Finitely supported map (label, exponent) -> multiplicity (>= 1).
 
-    __slots__ = ("_items",)
+    Stored per label, labels in canonical order, as the multiplicity
+    sequence of exponents 1, 2, ... with no trailing zeros: the
+    restrict() value.
+    """
 
-    def __init__(self, entries: Mapping | Iterable = ()):
-        acc: dict[tuple[Label, int], int] = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for item in items:
-            if isinstance(entries, Mapping):
-                (label, k), n = item
-            else:
-                label, k, n = item
+    __slots__ = ("_seqs",)
+
+    def __init__(self, triples: Iterable[tuple[Label, int, int]] = ()):
+        acc: dict[Label, dict[int, int]] = {}
+        for label, k, n in triples:
             if not isinstance(label, (int, str)):
                 raise TypeError(f"label must be int or str, got {label!r}")
-            if isinstance(label, int) and not arith.is_prime(label):
-                raise ValueError(f"concrete labels must be prime, got {label}")
+            if label not in acc:
+                if isinstance(label, int) and not arith.is_prime(label):
+                    raise ValueError(f"concrete labels must be prime, got {label}")
+                acc[label] = {}
             if k < 1:
                 raise ValueError("exponent must be >= 1")
             if n < 0:
                 raise ValueError("multiplicity must be >= 0")
             if n:
-                acc[(label, k)] = acc.get((label, k), 0) + n
-        self._items = tuple(
-            sorted(acc.items(), key=lambda kv: (_label_key(kv[0][0]), kv[0][1]))
-        )
+                acc[label][k] = acc[label].get(k, 0) + n
+        self._seqs = {
+            label: tuple(per_k.get(k, 0) for k in range(1, max(per_k) + 1))
+            for label, per_k in sorted(acc.items(), key=lambda kv: _label_key(kv[0]))
+            if per_k
+        }
+
+    @classmethod
+    def _trusted(cls, seqs: dict[Label, tuple[int, ...]]) -> Pattern:
+        """Wrap label -> sequence data already in the stored form: labels
+        valid and in canonical order, sequences nonempty without trailing
+        zeros.  For patterns derived from a factorization or from other
+        patterns, which are valid by construction."""
+        pat = object.__new__(cls)
+        pat._seqs = seqs
+        return pat
 
     @property
     def entries(self) -> dict[tuple[Label, int], int]:
-        return dict(self._items)
+        return {(label, k): n for label, seq in self._seqs.items()
+                for k, n in enumerate(seq, 1) if n}
 
     @property
     def support(self) -> tuple[Label, ...]:
-        seen: list[Label] = []
-        for (label, _k), _n in self._items:
-            if label not in seen:
-                seen.append(label)
-        return tuple(seen)
+        return tuple(self._seqs)
 
     def slots(self, label: Label) -> int:
         """Total number of distinct primes the pattern needs for `label`."""
-        return sum(n for (lab, _k), n in self._items if lab == label)
+        return sum(self._seqs.get(label, ()))
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._seqs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Pattern) and self._items == other._items
+        return isinstance(other, Pattern) and self._seqs == other._seqs
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(tuple(self._seqs.items()))
 
     def __repr__(self) -> str:
         return f"Pattern({self.to_text()!r})"
 
     def to_text(self) -> str:
         """Round-trippable mini-grammar form: (label,k)xn,(label,k),..."""
-        if not self._items:
-            return "{}"
-        bits = []
-        for (label, k), n in self._items:
-            s = f"({label},{k})"
-            bits.append(s if n == 1 else s + f"x{n}")
-        return ",".join(bits)
+        bits = [f"({label},{k})" if n == 1 else f"({label},{k})x{n}"
+                for (label, k), n in self.entries.items()]
+        return ",".join(bits) or "{}"
 
 
 def sigma(alpha: Pattern) -> int:
     """Total level of a pattern: sum of exponent * multiplicity."""
-    return sum(k * n for (_label, k), n in alpha._items)
+    return sum(k * n for seq in alpha._seqs.values() for k, n in enumerate(seq, 1))
 
 
 def restrict(alpha: Pattern, label: Label) -> tuple[int, ...]:
     """Multiplicity sequence of label^1, label^2, ... (trailing zeros cut)."""
-    per_k = {k: n for (lab, k), n in alpha._items if lab == label}
-    if not per_k:
-        return ()
-    top = max(per_k)
-    return tuple(per_k.get(k, 0) for k in range(1, top + 1))
+    return alpha._seqs.get(label, ())
+
+
+def _slot_exponents(seq: tuple[int, ...]) -> list[int]:
+    """The exponent of every slot in a multiplicity sequence, largest first."""
+    return [k for k in range(len(seq), 0, -1) for _ in range(seq[k - 1])]
 
 
 def _least_excess(y: Iterable[int], x: Iterable[int]) -> int | None:
@@ -164,21 +172,22 @@ def dominates(y: Iterable[int], x: Iterable[int]) -> bool:
 
 def pattern_leq(alpha: Pattern, beta: Pattern) -> bool:
     """Order on patterns: beta's sequence dominates alpha's at every label."""
-    labels = set(alpha.support) | set(beta.support)
+    labels = alpha._seqs.keys() | beta._seqs.keys()
     return all(dominates(restrict(beta, p), restrict(alpha, p)) for p in labels)
 
 
 def pattern_add(alpha: Pattern, beta: Pattern) -> Pattern:
     """Entrywise sum of multiplicities."""
-    acc = alpha.entries
-    for key, n in beta._items:
-        acc[key] = acc.get(key, 0) + n
-    return Pattern(acc)
+    return Pattern._trusted({
+        label: tuple(map(sum, zip_longest(restrict(alpha, label), restrict(beta, label),
+                                          fillvalue=0)))
+        for label in sorted(alpha._seqs.keys() | beta._seqs.keys(), key=_label_key)
+    })
 
 
 def pattern_of(n: int) -> Pattern:
     """Pattern of a concrete number: one slot per prime-power in it."""
-    return Pattern([(p, e, 1) for p, e in factorize(n).items()])
+    return Pattern._trusted({p: (0,) * (e - 1) + (1,) for p, e in sorted(factorize(n).items())})
 
 
 def shape_class(n: int) -> tuple[int, ...]:
@@ -263,13 +272,9 @@ def _estimated_size(alpha: Pattern, pools: Mapping[Label, tuple[int, ...]]) -> i
     total = 1
     for label in alpha.support:
         avail = len(pools[label])
-        per_label = 1
-        for (lab, _k), n in alpha._items:
-            if lab != label:
-                continue
-            per_label *= math.comb(avail, n)
+        for n in restrict(alpha, label):
+            total *= math.comb(avail, n)
             avail -= n
-        total *= per_label
     return total
 
 
@@ -300,9 +305,7 @@ def generate_falpha(
                 cap=max_elements)
     products = [1]
     for label in alpha.support:
-        groups = sorted(
-            ((k, n) for (lab, k), n in alpha._items if lab == label)
-        )
+        groups = [(k, n) for k, n in enumerate(restrict(alpha, label), 1) if n]
         factors = _label_factors(pools[label], groups)
         products = [x * f for x in products for f in factors]
     return NatSet._trusted(products)
@@ -377,7 +380,7 @@ def witness_set(
     xs, ys = restrict(alpha, label), restrict(beta, label)
     u = sum(xs[m - 1 :])
     v = sum(ys[m - 1 :])
-    tail = Pattern([(label, k, xs[k - 1]) for k in range(m, len(xs) + 1) if xs[k - 1]])
+    tail = Pattern._trusted({label: (0,) * (m - 1) + xs[m - 1 :]})
     gens = generate_falpha(tail, {label: pools[label]}, allow_insufficient=True)
 
     s_alpha = generate_falpha(alpha, asg, allow_insufficient=True)
@@ -418,22 +421,13 @@ def extend_divisible(
         per_label[owner[p]].append((p, e))
     for label in set(alpha.support) | {lab for lab, ps in per_label.items() if ps}:
         have = sorted((e for _p, e in per_label.get(label, [])), reverse=True)
-        want = sorted(
-            (k for (lab, k), n in alpha._items if lab == label for _ in range(n)),
-            reverse=True,
-        )
-        if have != want:
+        if have != _slot_exponents(restrict(alpha, label)):
             raise ValueError(f"{l} is not generated by the first pattern at {label!r}")
 
     result = 1
     for label in beta.support:
-        targets = sorted(
-            (k for (lab, k), n in beta._items if lab == label for _ in range(n)),
-            reverse=True,
-        )
+        targets = _slot_exponents(restrict(beta, label))
         current = sorted(per_label.get(label, []), key=lambda pe: (-pe[1], pe[0]))
-        if len(current) > len(targets):
-            raise ValueError("domination violated")  # unreachable given leq check
         used = {p for p, _e in current}
         fresh = [p for p in pools[label] if p not in used]
         need = len(targets) - len(current)
@@ -441,11 +435,7 @@ def extend_divisible(
             raise InsufficientPrimesError(
                 f"label {label!r}: need {need} fresh primes, pool has {len(fresh)}"
             )
-        for (p, e), k in zip(current, targets):
-            if k < e:
-                raise ValueError("domination violated")  # unreachable given leq check
-            result *= p**k
-        for p, k in zip(fresh, targets[len(current) :]):
+        for p, k in zip([p for p, _e in current] + fresh, targets):
             result *= p**k
     return result
 

@@ -48,12 +48,26 @@ def test_factorize_large_goes_through_rho():
     assert factorize(p * p * q) == {p: 2, q: 1}
 
 
+def test_factorize_tests_each_cofactor_once(monkeypatch):
+    p, q = 1000003, 1000033
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or real(m))
+    assert factorize(p * p * q) == {p: 2, q: 1}
+    assert calls.count(p * p * q) == 1
+    calls.clear()
+    assert factorize(7 * q) == {7: 1, q: 1}
+    assert calls == [q]  # the prime left after trial division, tested once
+
+
 def test_spf():
     assert smallest_prime_factor(2) == 2
     assert smallest_prime_factor(15) == 3
     assert smallest_prime_factor(77) == 7
-    with pytest.raises(ValueError):
-        smallest_prime_factor(1)
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError):
+            smallest_prime_factor(n)
+    assert smallest_prime_factor(1000003 * 1000033) == 1000003
 
 
 def test_spf_matches_trial_oracle():

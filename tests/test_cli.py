@@ -81,6 +81,16 @@ def test_product(capsys):
     assert code == 2 and rep["outcome"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["divides", "6", "42", "--universe", "0"],
+    ["product", "7", "11", "--universe", "0"],
+])
+def test_universe_zero_is_a_usage_error(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["outcome"] == "error"
+    assert rep["params"]["universe"] == 0
+
+
 def test_color(capsys):
     assert run_json(capsys, "color", "pair", "5", "6")[1]["color"] == 1
     assert run_json(capsys, "color", "tuple", "4", "6", "7", "9")[1]["color"] == 2
@@ -99,7 +109,8 @@ def test_usage_error_report_carries_elapsed_ms(capsys):
 EXIT_CODES = {"value": 0, "pass": 0, "fail": 1, "error": 2, "internal_error": 3}
 
 # one error per subcommand form of test_imports.SUBCOMMANDS, in the same order;
-# thick-lemmas has no bad argument value, so its error is a guard set to 1
+# thick-lemmas' error here is a guard set to 1; its bad --samples values are
+# in test_vacuous_verifier_bounds_are_usage_errors
 ERROR_FORMS = [
     (["classify", "0"], {}),
     (["divides", "6", "42", "--universe", "10"], {}),
@@ -206,6 +217,18 @@ def test_verify_suites(capsys):
     assert code == 2 and rep["outcome"] == "error"
     code, rep = run_json(capsys, "verify", "refinement", "--arity", "2",
                          "--index-bound", "0")
+    assert code == 2 and rep["outcome"] == "error"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thick-lemmas", "--samples", "0"],
+    ["thick-lemmas", "--samples", "-3"],
+    ["g-disjoint", "--stages", "0"],
+    ["g-disjoint", "--stages", "1"],
+    ["g-disjoint", "--stages", "-2"],
+])
+def test_vacuous_verifier_bounds_are_usage_errors(capsys, argv):
+    code, rep = run_json(capsys, "verify", *argv)
     assert code == 2 and rep["outcome"] == "error"
 
 

@@ -289,6 +289,12 @@ def test_check_thick_lemmas():
     assert rep.union_hits > 10 and rep.arity_hits > 10
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_check_thick_lemmas_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_thick_lemmas(samples=samples)
+
+
 def test_coloring_from_set():
     col = coloring_from_set({15}, {3, 5}, 2)
     assert col == {frozenset({3, 5}): 0}

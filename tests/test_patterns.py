@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+import sympy
 
-from ultradiv.arith import level_of
+from _patgen import iso_patterns, patterns_two_labels
+from ultradiv import arith, patterns
+from ultradiv.arith import factorize, level_of
 from ultradiv.patterns import (
     InsufficientPrimesError,
     NoWitnessError,
@@ -174,37 +177,140 @@ def test_extend_output_in_beta_set():
         assert l2 % l == 0 and l2 in s_beta
 
 
+# --- the stored form against a plain triples model ---------------------------
+
+
+def _ref_key(label):
+    return (0, label, "") if isinstance(label, int) else (1, 0, label)
+
+
+class RefPattern:
+    """A pattern as plain (label, k, n) triples, n >= 1, merged and sorted by
+    (label, k): every question answered by scanning all triples."""
+
+    def __init__(self, triples):
+        acc = {}
+        for label, k, n in triples:
+            if n:
+                acc[(label, k)] = acc.get((label, k), 0) + n
+        self.triples = sorted(((lab, k, n) for (lab, k), n in acc.items()),
+                              key=lambda t: (_ref_key(t[0]), t[1]))
+
+    def support(self):
+        return tuple(dict.fromkeys(lab for lab, _k, _n in self.triples))
+
+    def slots(self, label):
+        return sum(n for lab, _k, n in self.triples if lab == label)
+
+    def restrict(self, label):
+        per_k = {k: n for lab, k, n in self.triples if lab == label}
+        return tuple(per_k.get(k, 0) for k in range(1, max(per_k, default=0) + 1))
+
+    def sigma(self):
+        return sum(k * n for _lab, k, n in self.triples)
+
+    def to_text(self):
+        return ",".join(f"({lab},{k})" + (f"x{n}" if n > 1 else "")
+                        for lab, k, n in self.triples) or "{}"
+
+
+MIXED = [
+    P(("q", 1, 1), (3, 1, 1), ("a", 2, 1), (2, 1, 1)),
+    P((7, 3, 2), ("p", 1, 1), (2, 2, 1)),
+    *(pattern_of(n) for n in (1, 2, 12, 360, 2**10 * 3**4 * 7, 9699690)),
+]
+MODEL_PATTERNS = patterns_two_labels(5) + iso_patterns(6, "a") + MIXED
+
+
+def _triples(pat):
+    return [(lab, k, n) for (lab, k), n in pat.entries.items()]
+
+
+@pytest.mark.parametrize("pat", MODEL_PATTERNS, ids=lambda p: p.to_text())
+def test_pattern_matches_the_triples_model(pat):
+    ref = RefPattern(_triples(pat))
+    assert _triples(pat) == ref.triples  # canonical order, no zero entries
+    assert pat.support == ref.support()
+    assert sigma(pat) == ref.sigma()
+    assert pat.to_text() == ref.to_text()
+    assert parse_pattern(pat.to_text()) == pat
+    assert bool(pat) == bool(ref.triples)
+    for label in (*ref.support(), "zz", 5):
+        assert restrict(pat, label) == ref.restrict(label)
+        assert pat.slots(label) == ref.slots(label)
+    # the same entries split into single slots, reversed and padded with
+    # zero multiplicities build an equal pattern with an equal hash
+    split = [(lab, k, 1) for lab, k, n in reversed(ref.triples) for _ in range(n)]
+    again = Pattern(split + [(lab, 9, 0) for lab in ref.support()])
+    assert again == pat and hash(again) == hash(pat)
+    assert again.to_text() == pat.to_text()
+
+
+def test_equality_and_hashing_match_the_triples_model():
+    by_text = {}
+    for pat in MODEL_PATTERNS:
+        by_text.setdefault(RefPattern(_triples(pat)).to_text(), set()).add(pat)
+    assert all(len(pats) == 1 for pats in by_text.values())
+    assert len(set(MODEL_PATTERNS)) == len(by_text)
+
+
+def test_pattern_add_matches_the_triples_model():
+    pats = patterns_two_labels(5)[::2] + iso_patterns(6, "a")[::3] + MIXED
+    for a, b in itertools.product(pats, repeat=2):
+        got = pattern_add(a, b)
+        ref = RefPattern(_triples(a) + _triples(b))
+        assert _triples(got) == ref.triples
+        assert got == Pattern(ref.triples) and hash(got) == hash(Pattern(ref.triples))
+        assert got.to_text() == ref.to_text()
+
+
+BENCH_SEMIPRIME = sympy.nextprime(1_500_000) * sympy.nextprime(10**15)
+
+
+@pytest.mark.parametrize("n", [1, 360, 2**40, BENCH_SEMIPRIME])
+def test_pattern_of_does_not_retest_primes(monkeypatch, n):
+    fac = factorize(n)
+    expected = Pattern([(p, e, 1) for p, e in fac.items()])
+
+    def refuse(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    monkeypatch.setattr(patterns, "factorize", lambda m: dict(fac))
+    monkeypatch.setattr(arith, "is_prime", refuse)
+    got = pattern_of(n)
+    assert got == expected and got.to_text() == expected.to_text()
+    assert sigma(got) == sum(fac.values())
+
+
+def test_pattern_checks_each_label_once(monkeypatch):
+    calls = []
+    is_prime = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or is_prime(m))
+    Pattern([(3, 1, 1), (5, 2, 1), (3, 2, 2), ("p", 1, 1), (5, 1, 0)])
+    assert calls == [3, 5]
+
+
+@pytest.mark.parametrize("triples, error", [
+    ([(4, 1, 1)], ValueError),             # composite label
+    ([(3, 1, 1), (9, 2, 1)], ValueError),  # composite label after a valid one
+    ([(1, 1, 0)], ValueError),             # checked even with no multiplicity
+    ([("p", 0, 1)], ValueError),           # k < 1
+    ([("p", 1, -1)], ValueError),          # n < 0
+    ([(2.0, 1, 1)], TypeError),
+    ([(None, 1, 1)], TypeError),
+    ([(["p"], 1, 1)], TypeError),
+    ([("p", 1.5, 1)], TypeError),           # no place in the sequence over 1, 2, ...
+])
+def test_pattern_rejects_bad_triples(triples, error):
+    with pytest.raises(error):
+        Pattern(triples)
+
+
 # --- order axioms and family properties --------------------------------------
 
 
-def _patterns_upto(max_sigma, labels=("p", "q")):
-    """All patterns over the given labels with sigma <= max_sigma."""
-    def label_parts(budget):
-        # multisets {(k, n)} with sum k*n <= budget, as tuples of (k, n)
-        out = [()]
-        def rec(min_k, left, acc):
-            for k in range(min_k, left + 1):
-                for n in range(1, left // k + 1):
-                    cur = acc + ((k, n),)
-                    out.append(cur)
-                    rec(k + 1, left - k * n, cur)
-        rec(1, budget, ())
-        return out
-
-    pats = []
-    per_label = label_parts(max_sigma)
-    for combo in itertools.product(per_label, repeat=len(labels)):
-        total = sum(k * n for part in combo for (k, n) in part)
-        if total <= max_sigma:
-            triples = [
-                (lab, k, n) for lab, part in zip(labels, combo) for (k, n) in part
-            ]
-            pats.append(Pattern(triples))
-    return sorted(set(pats), key=lambda p: (sigma(p), p.to_text()))
-
-
 def test_partial_order_axioms_small():
-    pats = _patterns_upto(3)
+    pats = patterns_two_labels(3)
     for a in pats:
         assert pattern_leq(a, a)
     for a, b in itertools.permutations(pats, 2):
@@ -218,14 +324,14 @@ def test_partial_order_axioms_small():
 
 
 def test_leq_implies_sigma_monotone_small():
-    pats = _patterns_upto(3)
+    pats = patterns_two_labels(3)
     for a, b in itertools.product(pats, repeat=2):
         if pattern_leq(a, b):
             assert sigma(a) <= sigma(b)
 
 
 def test_add_is_commutative_monoid_and_monotone():
-    pats = _patterns_upto(2)
+    pats = patterns_two_labels(2)
     for a, b in itertools.product(pats, repeat=2):
         assert pattern_add(a, b) == pattern_add(b, a)
         assert sigma(pattern_add(a, b)) == sigma(a) + sigma(b)
@@ -238,7 +344,7 @@ def test_add_is_commutative_monoid_and_monotone():
 
 def test_distinct_patterns_generate_disjoint_sets():
     asg = {"p": (2, 3, 5, 7), "q": (11, 13, 17, 19)}
-    pats = [p for p in _patterns_upto(4) if all(p.slots(lab) <= 4 for lab in p.support)]
+    pats = [p for p in patterns_two_labels(4) if all(p.slots(lab) <= 4 for lab in p.support)]
     by_sigma = {}
     for p in pats:
         by_sigma.setdefault(sigma(p), []).append(p)

@@ -217,6 +217,10 @@ def factorize(n: int) -> dict[int, int]:
             bound = min(math.isqrt(n), TRIAL_DIVISION_BOUND)
     if n == 1:
         return out
+    if math.isqrt(n) <= TRIAL_DIVISION_BOUND:
+        # every prime up to sqrt(n) was tried: n is prime
+        out[n] = out.get(n, 0) + 1
+        return out
     # what remains has no prime factor up to the trial bound: a prime, or a job for rho
     stack = [n]
     while stack:

@@ -12,14 +12,17 @@ primes into classes indexed by color; those classes refine downwards
 d-thickness test.
 
 Verifiers here are exhaustive within their stated bounds and return
-certificates for any violation found; they never sample.
+certificates for any violation found; they never sample.  verify_progr
+decides each progression exactly: for every pair of terms, the starts
+that color it k form one interval repeating with a power-of-two period,
+so one bit mask per step settles all starts at once.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Callable, Iterable, Mapping
 
 from .arith import NatSet, factorize, first_primes, prime_index
@@ -46,6 +49,7 @@ __all__ = [
 MAX_THICK_SET = 12  # default guard: exhaustive partitions only up to this size
 MAX_THICK_PARTS = 3
 MAX_VERIFY_WORK = 10**8  # default guard: pair checks or tuples one exhaustive verifier may do
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> compress() selectors
 
 
 def block_interval(n: int, i: int) -> range:
@@ -119,9 +123,10 @@ class VerifyReport:
 
 
 def verify_progr(k: int, a0_max: int, d_max: int) -> VerifyReport:
-    """Scan every progression with start <= a0_max, step <= d_max and
-    length 2^k + 1 for a pair colored k; violations, each (start, step,
-    terms), are collected in full.
+    """Decide every progression with start <= a0_max, step <= d_max and
+    length 2^k + 1: does it have a pair colored k?  Violations, each
+    (start, step, terms), are collected in full, steps outer and starts
+    ascending.
     """
     if k < 1:
         raise ValueError("color index must be >= 1")
@@ -133,20 +138,59 @@ def verify_progr(k: int, a0_max: int, d_max: int) -> VerifyReport:
     check_guard(estimate, 2**12 + 1, "progression length")
     check_guard(a0_max * d_max * math.comb(estimate, 2), MAX_VERIFY_WORK, "progression pair checks")
     length = 2**k + 1
-    # gap-1 pairs first: the intended witness is usually adjacent
-    pair_order = sorted(combinations(range(length), 2), key=lambda ij: ij[1] - ij[0])
+    full = (1 << a0_max) - 1
+    nums: list[int] = []  # 1, 2, ...: every violation's terms are items of this one list
     violations = []
     for d in range(1, d_max + 1):
-        # color_pair(a, b) == k  iff  ((a-1) ^ (b-1)).bit_length() == k - 1 + (b-a).bit_length();
-        # the offsets and the gap's target depend on d only, not on the start
-        targets = [(i * d, j * d, k - 1 + ((j - i) * d).bit_length()) for i, j in pair_order]
-        for s in range(a0_max):  # s = a0 - 1
-            for x, y, t in targets:
-                if ((s + x) ^ (s + y)).bit_length() == t:
-                    break
-            else:
-                violations.append((s + 1, d, tuple(range(s + 1, s + 1 + length * d, d))))
+        missed = full ^ _progr_hits(k, a0_max, d, full)
+        if not missed:
+            continue
+        if not nums:
+            nums = list(range(1, a0_max + (length - 1) * d_max + 1))
+        flags = format(missed, f"0{a0_max}b")[::-1].encode().translate(_BIT_FLAGS)
+        stop = (length - 1) * d + 1
+        terms = [tuple(nums[s:s + stop:d]) for s in compress(range(a0_max), flags)]
+        violations += [(t[0], d, t) for t in terms]
     return VerifyReport(a0_max * d_max, violations)
+
+
+def _progr_hits(k: int, a0_max: int, d: int, full: int) -> int:
+    """Bit s (s < a0_max) is set iff the step-d progression from a0 = s + 1
+    has a pair colored k.
+
+    A pair x < y with gap delta = y - x is colored k iff
+    ((x-1) ^ (y-1)).bit_length() == t = k - 1 + delta.bit_length(), that
+    is iff (x-1) mod 2^t lies in [max(0, 2^(t-1) - delta),
+    min(2^(t-1), 2^t - delta)).  For terms i and i + g, then, the starts
+    that color the pair k form one interval per period 2^t, shifted by
+    i*d and perhaps wrapped.  Gaps are walked shortest first; a period
+    shorter than a0_max is built once and copied up by doubling, a longer
+    one is clipped to [0, a0_max).
+    """
+    hit = 0
+    for g in range(1, 2**k + 1):
+        delta = g * d
+        period = 1 << (k - 1 + delta.bit_length())
+        half = period >> 1
+        lo = max(0, half - delta)
+        width = min(half, period - delta) - lo
+        span = min(period, a0_max)
+        cover = 0
+        for i in range(2**k - g + 1):
+            r = (lo - i * d) % period  # least s >= 0 with (s + i*d) mod period == lo
+            if r < span:
+                cover |= (1 << min(r + width, span)) - (1 << r)
+            if r + width > period:
+                cover |= (1 << min(r + width - period, span)) - 1
+        if span < a0_max:
+            while span < a0_max:
+                cover |= cover << span
+                span *= 2
+            cover &= full
+        hit |= cover
+        if hit == full:
+            break
+    return hit
 
 
 def verify_refinement(n: int, index_bound: int) -> VerifyReport:

@@ -57,7 +57,35 @@ def test_factorize_tests_each_cofactor_once(monkeypatch):
     assert calls.count(p * p * q) == 1
     calls.clear()
     assert factorize(7 * q) == {7: 1, q: 1}
-    assert calls == [q]  # the prime left after trial division, tested once
+    assert calls == []  # trial division passed sqrt(q), which proves q prime
+
+
+@pytest.mark.parametrize("n", [2 * 2749, 360, 2**40, 999983 * 1000003, 10**12 - 11])
+def test_factorize_trusts_a_cofactor_trial_division_proved_prime(monkeypatch, n):
+    def no_test(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    monkeypatch.setattr(arith, "is_prime", no_test)
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_tests_a_cofactor_past_the_trial_bound(monkeypatch):
+    q = 1000002000007  # prime, isqrt(q) > TRIAL_DIVISION_BOUND
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or real(m))
+    assert factorize(2 * q) == {2: 1, q: 1}
+    assert calls == [q]
+
+
+def test_factorize_matches_sympy_near_the_trial_bound():
+    # cofactors on both sides of TRIAL_DIVISION_BOUND^2 = 10^12
+    rng = random.Random(15)
+    sample = [rng.randrange(1, 10**12) for _ in range(100)]
+    sample += [rng.randrange(10**12 - 10**7, 10**12 + 10**7) for _ in range(100)]
+    sample += [rng.randrange(2, 10**4) * rng.randrange(10**11, 10**13) for _ in range(100)]
+    for n in sample:
+        assert factorize(n) == sympy.factorint(n), n
 
 
 def test_spf():

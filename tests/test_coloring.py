@@ -130,6 +130,11 @@ def test_verify_progr_matches_reference_scan():
     rng = random.Random(5)
     cases = [(k, 1, 1) for k in range(1, 5)] + [(k, 64, 16) for k in range(1, 5)]
     cases += [(rng.randint(1, 4), rng.randint(1, 64), rng.randint(1, 16)) for _ in range(24)]
+    # periods 2^t shorter than, equal to and longer than a0_max, a0_max not
+    # a multiple of the period, and longer progressions at small bounds
+    cases += [(2, 777, 5), (3, 333, 9), (4, 1500, 2), (5, 2000, 1)]
+    cases += [(5, 40, 3), (5, 17, 6), (5, 64, 2), (5, 100, 1), (6, 20, 2), (6, 33, 1),
+              (6, 8, 3), (7, 5, 1), (7, 12, 1), (7, 3, 2)]
     for k, a0_max, d_max in cases:
         rep = verify_progr(k, a0_max, d_max)
         expect = progr_reference(k, a0_max, d_max)
@@ -140,6 +145,27 @@ def test_verify_progr_k1_full_scale_matches_reference():
     rep = verify_progr(1, 1024, 64)
     assert len(rep.violations) == 29184
     assert (rep.checked, rep.violations) == progr_reference(1, 1024, 64)
+    # each start is its own first term, and all terms are items of one list
+    # of the numbers up to a0_max + 2^k * d_max
+    assert all(a0 is terms[0] for a0, _d, terms in rep.violations)
+    assert len({id(x) for _a0, _d, terms in rep.violations for x in terms}) <= 1024 + 2 * 64 + 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_progr_full_scale_holds(k):
+    rep = verify_progr(k, 1024, 64)
+    assert rep.checked == 65536 and rep.violations == []
+
+
+def test_progr_hits_is_the_exact_start_mask():
+    # bit s is set iff the step-d progression from s + 1 has a pair colored
+    # k, and no bit at or above a0_max is ever set
+    for k, a0_max, d in [(1, 5, 3), (1, 40, 6), (2, 100, 3), (2, 7, 64), (3, 40, 7),
+                         (3, 3, 5), (4, 50, 5), (4, 6, 11)]:
+        pairs = list(combinations(range(2**k + 1), 2))
+        expect = sum(1 << s for s in range(a0_max)
+                     if any(color_pair(s + 1 + i * d, s + 1 + j * d) == k for i, j in pairs))
+        assert coloring._progr_hits(k, a0_max, d, (1 << a0_max) - 1) == expect, (k, a0_max, d)
 
 
 @pytest.mark.parametrize("a0_max, d_max", [(0, 5), (5, 0), (-1, 3)])

@@ -104,3 +104,17 @@ def test_progr_guards_a_huge_k_before_building_its_length(monkeypatch, capsys, k
     assert code == 2 and rep["outcome"] == "error"
     assert f"progression length = {2**64} exceeds guard cap" in rep["error"]
     assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("a0_max, d_max, checked", [(1, 1, 1), (3, 3, 9)])
+def test_progr_at_the_longest_guarded_length_builds_no_pair_list(monkeypatch, a0_max, d_max,
+                                                               checked):
+    # k = 12 passes both guards (C(4097, 2) pair checks per progression);
+    # the verifier walks gaps lazily and never enumerates the pairs
+    def no_enumeration(*args):
+        raise AssertionError("pair list built")
+
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.setattr(coloring, "combinations", no_enumeration)
+    rep = verify_progr(12, a0_max, d_max)
+    assert rep.checked == checked and rep.violations == []

@@ -246,8 +246,10 @@ def _thick_params(args, params):
 def cmd_thick(args, params):
     from .coloring import is_thick_bounded
 
-    primes = sorted(_parse_prime_sets(args.primes)[0]) if args.primes.strip() else []
-    params["primes"] = primes
+    sets = _parse_prime_sets(args.primes)
+    if len(sets) > 1:
+        raise ValueError(f"thick takes one prime set, got {len(sets)}")
+    primes = params["primes"] = sorted(sets[0]) if sets else []
     res = is_thick_bounded(primes, _thick_params(args, params), max_set=args.max_set,
                            max_parts=args.max_parts)
     payload: dict = {"thick": res.thick}
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf(sub, "extend", cmd_extend, "lift a generated number to a dominating pattern",
          lifted, pair)
     p = leaf(sub, "thick", cmd_thick, "bounded thickness test with certificate", bounds)
-    p.add_argument("primes", help='comma-separated prime set, e.g. "2,3,5,7"')
+    p.add_argument("primes", help='one comma-separated prime set, e.g. "2,3,5,7"')
     p = leaf(sub, "ecfun", cmd_ecfun, "canonical eventually-constant function assignment")
     p.add_argument("count", type=int)
     p = leaf(sub, "greedy", cmd_greedy, "greedy thickness-preserving family extension", bounds)

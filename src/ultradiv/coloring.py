@@ -257,13 +257,15 @@ def find_mono_ap(partition: Iterable[Iterable[int]], length: int) -> tuple[int, 
 
 class ThickParams:
     """Bounds for the finitized thickness test: partitions into at most
-    m_max parts, classes 1..k_max to be met, products of n primes."""
+    m_max parts, classes 1..k_max to be met, products of n >= 2 primes."""
 
     __slots__ = ("m_max", "k_max", "n")
 
     def __init__(self, m_max: int, k_max: int, n: int = 2):
         if m_max < 1 or k_max < 1 or n < 1:
             raise ValueError("thickness parameters must be >= 1")
+        if n < 2:
+            raise ValueError("product arity must be >= 2")
         self.m_max = m_max
         self.k_max = k_max
         self.n = n
@@ -282,7 +284,7 @@ class ThickResult:
 
 def _partitions_bounded(items: tuple, max_parts: int):
     """Set partitions of items into at most max_parts nonempty blocks
-    (blocks ordered by least element; deterministic)."""
+    (blocks ordered by least element, each sorted as items; deterministic)."""
     n = len(items)
     parts: list[list] = []
 
@@ -299,31 +301,26 @@ def _partitions_bounded(items: tuple, max_parts: int):
             yield from rec(i + 1)
             parts.pop()
 
-    if n == 0:
-        yield []
-        return
     yield from rec(0)
 
 
-def _covers_all_classes(part: tuple[int, ...], n: int, k_max: int) -> tuple[bool, int | None]:
-    """Does the part's arity-n product set meet every class 1..k_max?
+def _missing_class(part: tuple[int, ...], n: int, k_max: int) -> int | None:
+    """The least class 1..k_max that the part's arity-n product set misses,
+    or None when it meets every one.
 
     part holds prime indices, sorted.  The class of an n-subset is the
     pair color of its two smallest members, so it suffices to scan pairs
-    that still leave n-2 larger elements in the part.  Returns (ok,
-    a missing class index when not ok).
+    that still leave n-2 larger elements in the part (none when the part
+    has fewer than n members).
     """
     need = set(range(1, k_max + 1))
-    size = len(part)
-    if size < n:
-        return False, min(need)
-    for jb in range(1, size - n + 2):
+    for jb in range(1, len(part) - n + 2):
         b = part[jb]
         for ja in range(jb):
             need.discard(_pair_color(part[ja], b))
             if not need:
-                return True, None
-    return False, min(need)
+                return None
+    return min(need)
 
 
 def is_thick_bounded(
@@ -342,30 +339,21 @@ def is_thick_bounded(
     partition and one missing class per part.
     """
     primes = sorted(set(A))
-    if params.n < 2:
-        raise ValueError("product arity must be >= 2")
     check_guard(len(primes), MAX_THICK_SET, "thickness set size", cap=max_set)
     check_guard(params.m_max, MAX_THICK_PARTS, "thickness partition size", cap=max_parts)
     if not primes:
         return ThickResult(False, {"partition": [], "missing": []})
-    index_of = {p: prime_index(p) for p in primes}
-    indices = tuple(sorted(index_of[p] for p in primes))
-    back = {i: p for p, i in index_of.items()}
-    for partition in _partitions_bounded(indices, params.m_max):
+    prime_at = {prime_index(p): p for p in primes}
+    for partition in _partitions_bounded(tuple(prime_at), params.m_max):
         missing: list[int] = []
         for part in partition:
-            ok, miss = _covers_all_classes(tuple(sorted(part)), params.n, params.k_max)
-            if ok:
+            miss = _missing_class(part, params.n, params.k_max)
+            if miss is None:
                 break
             missing.append(miss)
-        else:
-            return ThickResult(
-                False,
-                {
-                    "partition": [sorted(back[i] for i in part) for part in partition],
-                    "missing": missing,
-                },
-            )
+        else:  # prime_at is increasing, so each part maps back sorted
+            partition = [[prime_at[i] for i in part] for part in partition]
+            return ThickResult(False, {"partition": partition, "missing": missing})
     return ThickResult(True)
 
 
@@ -386,7 +374,7 @@ class ThickLemmasReport:
         return not self.failures
 
 
-def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> ThickLemmasReport:
+def check_thick_lemmas(samples: int = 100, seed: int = 0) -> ThickLemmasReport:
     """Random small instances for each property; every instance must pass.
 
     Vacuous instances (premise not met) count as passes but not as hits;
@@ -395,7 +383,7 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0, pool: int = 10) -> Thi
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    primes = first_primes(pool)
+    primes = first_primes(10)
     report = ThickLemmasReport(samples)
 
     def rand_set(lo, hi):

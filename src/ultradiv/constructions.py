@@ -11,7 +11,7 @@ not guaranteed, so dead ends are first-class outcomes, not errors.
 
 from __future__ import annotations
 
-import itertools
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
 from .arith import NatSet, first_primes, is_prime, primes_upto
@@ -87,47 +87,20 @@ class ECFunction:
 
 def ec_enumerate(count: int) -> dict[int, ECFunction]:
     """Assign distinct eventually constant functions to the first `count`
-    primes.
+    primes: each index prime, in increasing order, takes the first unused
+    function in canonical order (prefix length, then prefix
+    lexicographically, then tail) that satisfies its bound.
 
-    Index primes are processed in increasing order; each takes the first
-    unused function in canonical order (prefix length, then prefix
-    lexicographically, then tail) among those satisfying its bound.
-    Functions whose values are too large for the current index stay
-    available for later ones.  Deterministic and injective.
-
-    Constants come first in that order and are taken in increasing order,
-    so a cursor marks the first unused one; only an index whose constants
-    are all taken scans the longer functions, as (prefix, tail) keys.
-    That is index 5 alone: from 7 on, p_k allows the constant p_(k-1),
-    which no earlier index could take.  So all but 5 -> "[2] then 3" are
-    constants.
+    That rule has a closed form, returned directly.  Constants come first,
+    so 2 and 3 take the constants 2 and 3, and from 7 on p_k takes the
+    constant p_(k-1) that its bound first allows.  5 alone finds both its
+    constants taken and gets the first non-constant function, "[2] then 3".
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    index_primes = first_primes(count)
-    used: set[tuple[tuple[int, ...], int]] = set()  # non-constant functions taken
-    const = 0  # the constants index_primes[:const] are taken
-    out: dict[int, ECFunction] = {}
-    for k, i in enumerate(index_primes):
-        allowed = k + 1 if i in (2, 3) else k  # values allowed at i: index_primes[:allowed]
-        if const < allowed:
-            out[i] = ECFunction._trusted((), index_primes[const])
-            const += 1
-            continue
-        key = next(key for key in _nonconstant_keys(index_primes[:allowed]) if key not in used)
-        used.add(key)
-        out[i] = ECFunction._trusted(*key)
-    return out
-
-
-def _nonconstant_keys(allowed: Sequence[int]):
-    """(prefix, tail) of every non-constant function into `allowed`, minimal
-    form, in canonical order."""
-    for length in itertools.count(1):
-        for prefix in itertools.product(allowed, repeat=length):
-            for tail in allowed:
-                if prefix[-1] != tail:
-                    yield prefix, tail
+    primes = first_primes(count)
+    values = [((), 2), ((), 3), ((2,), 3)] + [((), q) for q in primes[2:-1]]
+    return {i: ECFunction._trusted(*v) for i, v in zip(primes, values)}
 
 
 def g_value(asg: Mapping[int, ECFunction], i: int, n: int) -> int:
@@ -244,12 +217,9 @@ def greedy_thick_extend(
     def thick(S):
         return is_thick_bounded(S, params, max_set=max_set, max_parts=max_parts).thick
 
-    for a in family:
-        for b in family:
-            if not thick(a & b):
-                raise ValueError(
-                    f"seed intersection {sorted(a & b)} is not thick at {params}"
-                )
+    for a, b in combinations_with_replacement(family, 2):
+        if not thick(a & b):
+            raise ValueError(f"seed intersection {sorted(a & b)} is not thick at {params}")
 
     log: list[dict] = []
     for pos, raw in enumerate(candidates):

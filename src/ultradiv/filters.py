@@ -70,19 +70,20 @@ def _same_universe(x: FinFilter, y: FinFilter) -> None:
         raise ValueError(f"universe mismatch: {x.bound} vs {y.bound}")
 
 
-def _check_in_universe(elems, bound: int) -> None:
-    # a NatSet windowed inside the universe needs no O(|A|) max scan
-    if isinstance(elems, NatSet) and elems.window is not None and elems.window <= bound:
-        return
-    if elems and max(elems) > bound:
+def _operand(A: Iterable[int], bound: int) -> set | frozenset:
+    """A set operand over {1..bound}, checked once where it enters; a NatSet
+    windowed inside the universe is trusted as it is, with no O(|A|) scan."""
+    if isinstance(A, NatSet) and A.window is not None and A.window <= bound:
+        return A
+    elems = A if isinstance(A, (set, frozenset)) else frozenset(A)
+    if elems and (min(elems) < 1 or max(elems) > bound):
         raise ValueError("set escapes the universe")
+    return elems
 
 
 def member(f: FinFilter, A: Iterable[int]) -> bool:
     """A belongs to the filter iff A contains the core."""
-    elems = A if isinstance(A, (set, frozenset)) else frozenset(A)
-    _check_in_universe(elems, f.bound)
-    return f.core <= elems
+    return f.core <= _operand(A, f.bound)
 
 
 def divides_up(x: FinFilter, y: FinFilter) -> bool:
@@ -133,8 +134,7 @@ def product_member(A: Iterable[int], x: FinFilter, y: FinFilter) -> bool:
     rather than by materializing quotient sets.
     """
     _same_universe(x, y)
-    elems = A if isinstance(A, (set, frozenset)) else frozenset(A)
-    _check_in_universe(elems, x.bound)
+    elems = _operand(A, x.bound)
     yc = y.core
     for n in x.core:
         for b in yc:

@@ -4,7 +4,8 @@ Several operations (pattern-set generation, set-partition enumeration)
 can explode for careless inputs.  Guards are on by default and can be
 lifted either per call or globally with the environment variable
 ULTRADIV_GUARD: set it to ``off`` or ``0`` to disable all guards, or to
-an integer to replace every default cap with that value.
+a positive integer to replace every default cap with that value.  Any
+other value is an error (ValueError), not silently ignored.
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ def _env_override() -> int | None:
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return None
-    raw = raw.strip().lower()
-    if raw in ("off", "none", "disable", "disabled"):
+    value = raw.strip().lower()
+    if value == "off":
         return 0
     try:
-        return max(0, int(raw))
+        cap = int(value)
     except ValueError:
-        return None
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{ENV_VAR}={raw!r}: expected off, 0 or a positive integer")
+    return cap
 
 
 def check_guard(value: int, default_cap: int, what: str, cap: int | None = None) -> None:

@@ -292,7 +292,11 @@ def generate_falpha(
     smaller than a label's slot count raises InsufficientPrimesError
     unless allow_insufficient is set, in which case the result is empty.
     """
-    pools = check_assignment(asg, alpha)
+    return _generate(alpha, check_assignment(asg, alpha), allow_insufficient, max_elements)
+
+
+def _generate(alpha: Pattern, pools: Mapping, allow_insufficient=False, max_elements=None) -> NatSet:
+    """generate_falpha on pools already checked by check_assignment."""
     for label in alpha.support:
         if len(pools[label]) < alpha.slots(label):
             if allow_insufficient:
@@ -381,10 +385,10 @@ def witness_set(
     u = sum(xs[m - 1 :])
     v = sum(ys[m - 1 :])
     tail = Pattern._trusted({label: (0,) * (m - 1) + xs[m - 1 :]})
-    gens = generate_falpha(tail, {label: pools[label]}, allow_insufficient=True)
+    gens = _generate(tail, pools, allow_insufficient=True)
 
-    s_alpha = generate_falpha(alpha, asg, allow_insufficient=True)
-    s_beta = generate_falpha(beta, asg, allow_insufficient=True)
+    s_alpha = _generate(alpha, pools, allow_insufficient=True)
+    s_beta = _generate(beta, pools, allow_insufficient=True)
     covers = all(any(x % g == 0 for g in gens) for x in s_alpha)
     excludes = not any(y % g == 0 for y in s_beta for g in gens)
     upward = up_closure(gens, window) if window is not None else None

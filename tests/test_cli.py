@@ -270,6 +270,19 @@ def test_thick(capsys):
     assert rep["thick"] is False
 
 
+@pytest.mark.parametrize("arg", ["", "-", ";"])
+def test_thick_empty_set(capsys, arg):
+    code, rep = run_json(capsys, "thick", arg)
+    assert code == 0 and rep["params"]["primes"] == [] and rep["thick"] is False
+
+
+def test_thick_takes_one_prime_set(capsys):
+    # a second set used to be dropped, and {2, 3} alone tested
+    code, rep = run_json(capsys, "thick", "2,3;5,7")
+    assert code == 2 and rep["outcome"] == "error"
+    assert rep["error"] == "thick takes one prime set, got 2"
+
+
 def test_ecfun(capsys):
     code, rep = run_json(capsys, "ecfun", "4")
     assert code == 0

@@ -243,6 +243,26 @@ def test_find_mono_ap():
     assert find_mono_ap([], 2) is None
 
 
+@pytest.mark.parametrize("n, message", [(1, "product arity must be >= 2"),
+                                         (0, "thickness parameters must be >= 1")])
+def test_thick_params_own_the_arity_rule(n, message):
+    with pytest.raises(ValueError, match=message):
+        ThickParams(1, 1, n)
+
+
+def test_is_thick_certificate_parts_are_sorted():
+    # primes given in any order come back as sorted parts of a partition
+    A = [43, 2, 31, 7, 19, 3, 11]
+    for m in (1, 2, 3):
+        res = is_thick_bounded(A, ThickParams(m, 3, 2))
+        if res.thick:
+            continue
+        parts = res.certificate["partition"]
+        assert all(p == sorted(p) for p in parts)
+        assert sorted(x for p in parts for x in p) == sorted(A)
+        assert [p[0] for p in parts] == sorted(p[0] for p in parts)
+
+
 def test_is_thick_examples():
     params = ThickParams(m_max=1, k_max=1, n=2)
     assert not is_thick_bounded(frozenset(), params).thick

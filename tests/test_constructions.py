@@ -218,6 +218,20 @@ def test_greedy_family_stays_pairwise_thick():
     assert len(family) == 1 + len(kept)
 
 
+def test_greedy_checks_each_seed_pair_once(monkeypatch):
+    seen = []
+
+    def counting(S, params, **kw):
+        seen.append(frozenset(S))
+        return is_thick(S, params, **kw)
+
+    is_thick = constructions.is_thick_bounded
+    monkeypatch.setattr(constructions, "is_thick_bounded", counting)
+    seeds = [first_primes(12), first_primes(13)[1:], first_primes(12)[::-1]]
+    greedy_thick_extend(seeds, [], ThickParams(1, 1, 2))
+    assert len(seen) == 6  # the three seeds with themselves and each other, once
+
+
 def test_greedy_rejects_bad_seeds():
     params = ThickParams(m_max=1, k_max=2, n=2)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ultradiv.arith import divisors, smallest_prime_factor
+from ultradiv.arith import NatSet, divisors, smallest_prime_factor
 from ultradiv.filters import (
     FinFilter,
     WindowOverflowError,
@@ -35,6 +35,17 @@ def test_member():
     assert member(F({2, 3}), range(1, 101))
     with pytest.raises(ValueError):
         member(F({2}), {101})
+
+
+def test_set_operands_below_one_are_rejected():
+    f = F({2})
+    with pytest.raises(ValueError, match="set escapes the universe"):
+        member(FinFilter(10, {2}), [0, 2, -5])
+    with pytest.raises(ValueError, match="set escapes the universe"):
+        product_member([-1, 4], f, f)
+    with pytest.raises(ValueError, match="set escapes the universe"):
+        product_member({4, 101}, f, f)
+    assert product_member(NatSet({4}, window=100), f, f)  # a windowed NatSet is trusted
 
 
 def test_divides_up_examples():

@@ -35,6 +35,18 @@ def test_env_override_replaces_cap(monkeypatch):
         check_guard(25, 10, "x")
 
 
+@pytest.mark.parametrize("raw", ["-5", "none", "of", "1e9", ""])
+def test_env_override_rejects_other_values(monkeypatch, capsys, raw):
+    # a negative cap, an undocumented word or a typo is an error, not a silent off or default
+    monkeypatch.setenv(ENV_VAR, raw)
+    with pytest.raises(ValueError, match=f"{ENV_VAR}={raw!r}: expected off, 0 or a positive"):
+        check_guard(5, 10, "x")
+    check_guard(5, 10, "x", cap=10)  # an explicit cap does not read the variable
+    code = main(["thick", "2,3,5,7,11", "--m-max", "4", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2 and ENV_VAR in rep["error"] and "guard cap" not in rep["error"]
+
+
 def test_generate_guard(monkeypatch):
     # 20 choose 10 candidate sets would blow the (tiny) cap
     pat = Pattern([("p", 1, 10)])

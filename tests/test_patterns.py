@@ -6,6 +6,7 @@ import sympy
 from _patgen import iso_patterns, patterns_two_labels
 from ultradiv import arith, patterns
 from ultradiv.arith import factorize, level_of
+from ultradiv.guards import GuardExceeded
 from ultradiv.patterns import (
     InsufficientPrimesError,
     NoWitnessError,
@@ -132,6 +133,29 @@ def test_witness_threshold_two():
     assert cert.threshold == 2
     assert cert.generators == {4, 9}
     assert cert.covers_alpha and cert.excludes_beta
+
+
+def test_witness_checks_its_assignment_once(monkeypatch):
+    calls = []
+
+    def counting(asg, *pats):
+        calls.append(pats)
+        return check(asg, *pats)
+
+    check = patterns.check_assignment
+    monkeypatch.setattr(patterns, "check_assignment", counting)
+    alpha, beta = P(("p", 1, 2), ("q", 2, 1)), P(("p", 1, 1), ("q", 1, 1))
+    cert = witness_set(alpha, beta, {"p": (3, 5, 7), "q": (11, 13)})
+    assert cert.ok and len(calls) == 1
+    assert cert.alpha_set == generate_falpha(alpha, {"p": (3, 5, 7), "q": (11, 13)})
+    assert len(calls) == 2  # generate_falpha itself still checks its assignment
+
+
+def test_witness_guards_each_generated_set(monkeypatch):
+    # generators and alpha's set are 120 numbers each; beta's set, C(120, 8), trips the guard
+    monkeypatch.delenv("ULTRADIV_GUARD", raising=False)
+    with pytest.raises(GuardExceeded, match="generated set size"):
+        witness_set(P(("p", 2, 1)), P(("p", 1, 8)), {"p": tuple(arith.first_primes(120))})
 
 
 def test_witness_requires_non_dominated():

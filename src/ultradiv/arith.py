@@ -264,7 +264,7 @@ class NatSet(frozenset):
     are those of the underlying frozenset.
     """
 
-    window: int | None
+    __slots__ = ("window",)
 
     def __new__(cls, elements=(), window: int | None = None):
         self = cls._trusted(_elems(elements), window)

@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__
-from .guards import GuardExceeded
+from .guards import GuardExceeded, _env_override
 
 TEXT_LIST_CAP = 10  # text rendering truncates long lists; json never does
 
@@ -374,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     params: dict = {}  # each handler records its arguments here as it reads them
     try:
+        _env_override()  # a malformed ULTRADIV_GUARD fails every command, guarded or not
         outcome, payload = args.fn(args, params)
     except (ValueError, GuardExceeded) as exc:
         outcome, payload = "error", {"error": str(exc)}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .arith import NatSet, quotient_set
+from .arith import NatSet
 
 __all__ = [
     "FinFilter",
@@ -24,7 +24,6 @@ __all__ = [
     "image_filter",
     "product_member",
     "product_principal",
-    "quotient_filter_view",
 ]
 
 
@@ -33,9 +32,10 @@ class WindowOverflowError(ValueError):
 
 
 class FinFilter:
-    """Filter over {1..bound} given by a nonempty core set."""
+    """Filter over {1..bound} given by a nonempty core set; gen is the
+    element of a singleton core (a principal ultrafilter), else None."""
 
-    __slots__ = ("bound", "core")
+    __slots__ = ("bound", "core", "gen")
 
     def __init__(self, bound: int, core: Iterable[int]):
         core = frozenset(core)
@@ -48,6 +48,7 @@ class FinFilter:
                 raise ValueError(f"core element {x!r} outside universe 1..{bound}")
         self.bound = bound
         self.core = core
+        self.gen = next(iter(core)) if len(core) == 1 else None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FinFilter)
@@ -62,12 +63,11 @@ class FinFilter:
 
     @property
     def is_ultra(self) -> bool:
-        return len(self.core) == 1
+        return self.gen is not None
 
 
-def _same_universe(x: FinFilter, y: FinFilter) -> None:
-    if x.bound != y.bound:
-        raise ValueError(f"universe mismatch: {x.bound} vs {y.bound}")
+def _mismatch(x: FinFilter, y: FinFilter) -> ValueError:
+    return ValueError(f"universe mismatch: {x.bound} vs {y.bound}")
 
 
 def _operand(A: Iterable[int], bound: int) -> set | frozenset:
@@ -91,30 +91,37 @@ def divides_up(x: FinFilter, y: FinFilter) -> bool:
 
     Equivalent to up_closure(core_x, bound) >= core_y without
     materializing the closure: every core_y element has a divisor in
-    core_x.
+    core_x. A principal pair {m}, {n} reduces to m | n.
     """
-    _same_universe(x, y)
-    xc = x.core
-    if len(xc) == 1:
-        (a,) = xc
-        for b in y.core:
-            if b % a:
-                return False
-        return True
-    return all(any(b % a == 0 for a in xc) for b in y.core)
+    if x.bound != y.bound:
+        raise _mismatch(x, y)
+    m, n = x.gen, y.gen
+    if m is None:
+        return all(any(b % a == 0 for a in x.core) for b in y.core)
+    if n is not None:
+        return not n % m
+    for b in y.core:
+        if b % m:
+            return False
+    return True
 
 
 def divides_down(x: FinFilter, y: FinFilter) -> bool:
-    """Downward-closure divisibility: core_x inside the divisors of core_y."""
-    _same_universe(x, y)
-    yc = y.core
-    if len(yc) == 1:
-        (b,) = yc
-        for a in x.core:
-            if b % a:
-                return False
-        return True
-    return all(any(b % a == 0 for b in yc) for a in x.core)
+    """Downward-closure divisibility: core_x inside the divisors of core_y.
+
+    A principal pair {m}, {n} reduces to m | n.
+    """
+    if x.bound != y.bound:
+        raise _mismatch(x, y)
+    m, n = x.gen, y.gen
+    if n is None:
+        return all(any(b % a == 0 for b in y.core) for a in x.core)
+    if m is not None:
+        return not n % m
+    for a in x.core:
+        if n % a:
+            return False
+    return True
 
 
 def image_filter(f: Callable[[int], int], x: FinFilter) -> FinFilter:
@@ -130,15 +137,20 @@ def product_member(A: Iterable[int], x: FinFilter, y: FinFilter) -> bool:
     """Membership of A in the filter product of x and y.
 
     A is in the product iff {n : A/n contains core_y} contains core_x;
-    evaluated pointwise (b*n in A for all b in core_y, n in core_x)
-    rather than by materializing quotient sets.
+    evaluated pointwise (b*a in A for all b in core_y, a in core_x)
+    rather than by materializing quotient sets; for principal x and y this
+    is one lookup, m*n in A.
     """
-    _same_universe(x, y)
+    if x.bound != y.bound:
+        raise _mismatch(x, y)
     elems = _operand(A, x.bound)
+    m, n = x.gen, y.gen
+    if m is not None and n is not None:
+        return m * n in elems
     yc = y.core
-    for n in x.core:
+    for a in x.core:
         for b in yc:
-            if b * n not in elems:
+            if b * a not in elems:
                 return False
     return True
 
@@ -155,14 +167,3 @@ def product_principal(m: int, n: int, W: int) -> int:
         raise WindowOverflowError(f"{m}*{n} overflows the window {W}")
     return m * n
 
-
-def quotient_filter_view(A: Iterable[int], x: FinFilter, y: FinFilter) -> NatSet:
-    """The inner set of the product formula: {n in universe : A/n >= core_y}.
-
-    Exposed for inspection; product_member(A, x, y) iff this contains
-    core_x.
-    """
-    _same_universe(x, y)
-    elems = NatSet(A, window=x.bound)
-    hits = {n for n in range(1, x.bound + 1) if member(y, quotient_set(elems, n))}
-    return NatSet._trusted(hits, x.bound)

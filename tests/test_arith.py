@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -248,6 +250,14 @@ def test_natset_window_validation():
         NatSet(iter([1, 9]), window=8)
     s = NatSet({1, 2}, window=10)
     assert s.window == 10 and 2 in s
+
+
+def test_natset_window_is_a_slot_that_survives_copies():
+    s = NatSet({1, 2, 6}, window=10)
+    assert not hasattr(s, "__dict__")
+    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(t) is NatSet and t == s and t.window == 10
+    assert pickle.loads(pickle.dumps(NatSet({3}))).window is None
 
 
 # --- structural properties ---------------------------------------------------

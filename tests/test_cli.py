@@ -283,6 +283,16 @@ def test_thick_takes_one_prime_set(capsys):
     assert rep["error"] == "thick takes one prime set, got 2"
 
 
+@pytest.mark.parametrize("argv", [["classify", "360"], ["divides", "6", "42", "--universe", "100"]])
+def test_malformed_guard_variable_fails_unguarded_commands(capsys, monkeypatch, argv):
+    # neither command consults a guard, so the typo used to pass in silence
+    monkeypatch.setenv(ENV_VAR, "of")
+    code, rep = run_json(capsys, *argv)
+    assert code == 2 and rep["outcome"] == "error" and rep["command"] == argv[0]
+    assert rep["error"] == f"{ENV_VAR}='of': expected off, 0 or a positive integer"
+    assert list(rep)[-1] == "elapsed_ms"
+
+
 def test_ecfun(capsys):
     code, rep = run_json(capsys, "ecfun", "4")
     assert code == 0

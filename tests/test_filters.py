@@ -12,7 +12,6 @@ from ultradiv.filters import (
     member,
     product_member,
     product_principal,
-    quotient_filter_view,
 )
 
 
@@ -27,6 +26,24 @@ def test_finfilter_validation():
         FinFilter(10, frozenset({11}))
     assert FinFilter.principal(3, 10).is_ultra
     assert not F({2, 3}).is_ultra
+
+
+def test_gen_and_identity_follow_the_core():
+    # gen is the element of a singleton core; equality and hashing read (bound, core) only
+    for core in ({7}, {2, 3}, {1}, {4, 6, 9}):
+        x, y = F(core), FinFilter(100, list(core))
+        assert x == y and hash(x) == hash(y)
+        assert x.gen == (next(iter(core)) if len(core) == 1 else None)
+        assert x.is_ultra == (x.gen is not None)
+    assert F({7}) != FinFilter(50, {7}) and F({7}) != F({7, 14})
+
+
+def test_universe_mismatch_message():
+    x, y = F({2}), FinFilter(50, {2, 3})
+    for call in (lambda: divides_up(x, y), lambda: divides_down(x, y),
+                 lambda: product_member({2}, x, y)):
+        with pytest.raises(ValueError, match=r"^universe mismatch: 100 vs 50$"):
+            call()
 
 
 def test_member():
@@ -90,6 +107,11 @@ def test_product_member_examples():
     assert product_member(range(1, 101), x2, y3)
 
 
+def quotient_view(A, y, W):
+    """The inner set of the product formula, {n <= W : A/n contains core_y}."""
+    return {n for n in range(1, W + 1) if y.core <= {a // n for a in A if a % n == 0}}
+
+
 def test_product_member_matches_quotient_view():
     rng = random.Random(5)
     for _ in range(30):
@@ -97,8 +119,24 @@ def test_product_member_matches_quotient_view():
         A = frozenset(rng.sample(range(1, W + 1), rng.randrange(0, W)))
         x = FinFilter(W, frozenset(rng.sample(range(1, W + 1), rng.randrange(1, 4))))
         y = FinFilter(W, frozenset(rng.sample(range(1, W + 1), rng.randrange(1, 4))))
-        view = quotient_filter_view(A, x, y)
-        assert product_member(A, x, y) == (x.core <= view)
+        assert product_member(A, x, y) == (x.core <= quotient_view(A, y, W))
+
+
+@pytest.mark.parametrize("kinds", ["pp", "pg", "gp", "gg"])
+def test_fast_paths_match_plain_scans(kinds):
+    # principal (p) and general (g) cores in every combination, against all/any written here
+    rng = random.Random(f"fast-paths:{kinds}")
+    W = 60
+    core = {"p": lambda: rng.sample(range(1, W + 1), 1),
+            "g": lambda: rng.sample(range(1, W + 1), rng.randint(2, 4))}
+    for _ in range(600):
+        xc, yc = core[kinds[0]](), core[kinds[1]]()
+        x, y = FinFilter(W, xc), FinFilter(W, yc)
+        A = NatSet(rng.sample(range(1, W + 1), rng.randrange(0, W + 1)), window=W)
+        assert divides_up(x, y) == all(any(b % a == 0 for a in xc) for b in yc)
+        assert divides_down(x, y) == all(any(b % a == 0 for b in yc) for a in xc)
+        assert product_member(A, x, y) == all(a * b in A for a in xc for b in yc)
+        assert product_member(set(A), x, y) == product_member(A, x, y)
 
 
 def test_product_principal():

@@ -199,7 +199,7 @@ def cmd_falpha(args, params):
         raw_pattern, raw_assign = raw_pattern.split("|", 1)
     pat, asg = parse_pattern(raw_pattern), parse_assignment(raw_assign or "")
     params.update(pattern=pat.to_text(), assignment=_assignment(asg))
-    out = generate_falpha(pat, asg, max_elements=args.max_elements)
+    out = generate_falpha(pat, asg)
     return "value", {"size": len(out), "values": sorted(out)}
 
 
@@ -250,8 +250,7 @@ def cmd_thick(args, params):
     if len(sets) > 1:
         raise ValueError(f"thick takes one prime set, got {len(sets)}")
     primes = params["primes"] = sorted(sets[0]) if sets else []
-    res = is_thick_bounded(primes, _thick_params(args, params), max_set=args.max_set,
-                           max_parts=args.max_parts)
+    res = is_thick_bounded(primes, _thick_params(args, params))
     payload: dict = {"thick": res.thick}
     if res.certificate is not None:
         payload["certificate"] = res.certificate
@@ -273,8 +272,7 @@ def cmd_greedy(args, params):
     seeds = _parse_prime_sets(args.seeds)
     candidates = _parse_prime_sets(args.candidates) if args.candidates else []
     params.update(seeds=[sorted(s) for s in seeds], candidates=[sorted(c) for c in candidates])
-    family, log = greedy_thick_extend(seeds, candidates, _thick_params(args, params),
-                                      max_set=args.max_set, max_parts=args.max_parts)
+    family, log = greedy_thick_extend(seeds, candidates, _thick_params(args, params))
     dead = sum(1 for e in log if e["kept"] is None)
     return "value", {"family": [sorted(s) for s in family], "dead_ends": dead, "log": log}
 
@@ -298,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--arity", type=int, default=2)
     bounds.add_argument("--k-max", type=int, default=1)
     bounds.add_argument("--m-max", type=int, default=1)
-    bounds.add_argument("--max-set", type=int, default=None, help="override set-size guard")
-    bounds.add_argument("--max-parts", type=int, default=None, help="override parts guard")
 
     def leaf(subparsers, name, fn, help, *parents):
         p = subparsers.add_parser(name, parents=[*parents, fmt], help=help)
@@ -346,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    '"{}" for empty; "PATTERN | ASSIGN" also accepted')
     p.add_argument("--assign", default=None,
                    help='prime pools "label:p1,p2;label:p1,..."')
-    p.add_argument("--max-elements", type=int, default=None,
-                   help="override the generated-set size guard")
     p = leaf(sub, "witness", cmd_witness, "separating certificate for a non-dominated pair",
              pair)
     p.add_argument("--window", type=int, default=None,

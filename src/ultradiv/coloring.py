@@ -46,8 +46,8 @@ __all__ = [
     "ThickLemmasReport",
 ]
 
-MAX_THICK_SET = 12  # default guard: exhaustive partitions only up to this size
-MAX_THICK_PARTS = 3
+MAX_THICK_SET = 12  # default guard: the partition search recurses once per prime
+MAX_THICK_PARTITIONS = 3**11  # default guard: the bound on partitions at 12 primes in 3 parts
 MAX_VERIFY_WORK = 10**8  # default guard: pair checks or tuples one exhaustive verifier may do
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> compress() selectors
 
@@ -323,13 +323,7 @@ def _missing_class(part: tuple[int, ...], n: int, k_max: int) -> int | None:
     return min(need)
 
 
-def is_thick_bounded(
-    A: Iterable[int],
-    params: ThickParams,
-    *,
-    max_set: int | None = None,
-    max_parts: int | None = None,
-) -> ThickResult:
+def is_thick_bounded(A: Iterable[int], params: ThickParams) -> ThickResult:
     """Bounded thickness of a prime set, by exhaustive partition search.
 
     True iff every partition of A into at most m_max parts has a part
@@ -339,15 +333,23 @@ def is_thick_bounded(
     partition and one missing class per part.
     """
     primes = sorted(set(A))
-    check_guard(len(primes), MAX_THICK_SET, "thickness set size", cap=max_set)
-    check_guard(params.m_max, MAX_THICK_PARTS, "thickness partition size", cap=max_parts)
-    if not primes:
+    n = len(primes)
+    check_guard(n, MAX_THICK_SET, "thickness set size")
+    if not n:
         return ThickResult(False, {"partition": [], "missing": []})
+    # a partition into at most m parts is a restricted growth string, so
+    # there are at most m^(n-1); from 2^64 on the guard sees 2^64
+    m = min(params.m_max, n)
+    check_guard(m ** (n - 1) if (n - 1) * (m.bit_length() - 1) < 64 else 2**64,
+                MAX_THICK_PARTITIONS, "thickness partitions")
     prime_at = {prime_index(p): p for p in primes}
+    # no pair of indices <= i has a color above i.bit_length(), so a larger
+    # k_max leaves the least missing class unchanged
+    k_max = min(params.k_max, max(prime_at).bit_length() + 1)
     for partition in _partitions_bounded(tuple(prime_at), params.m_max):
         missing: list[int] = []
         for part in partition:
-            miss = _missing_class(part, params.n, params.k_max)
+            miss = _missing_class(part, params.n, k_max)
             if miss is None:
                 break
             missing.append(miss)
@@ -416,7 +418,7 @@ def check_thick_lemmas(samples: int = 100, seed: int = 0) -> ThickLemmasReport:
         if not is_thick_bounded(A, pa).thick and not is_thick_bounded(B, pb).thick:
             report.union_hits += 1
             pu = ThickParams(m_max=m1 + m2, k_max=k_max, n=n)
-            if is_thick_bounded(A | B, pu, max_parts=m1 + m2).thick:
+            if is_thick_bounded(A | B, pu).thick:
                 report.failures.append(
                     {"property": "union", "A": sorted(A), "B": sorted(B),
                      "m1": m1, "m2": m2, "k_max": k_max}

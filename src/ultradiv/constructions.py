@@ -196,9 +196,6 @@ def greedy_thick_extend(
     seeds: Sequence[Iterable[int]],
     candidates: Sequence[Iterable[int]],
     params: ThickParams,
-    *,
-    max_set: int | None = None,
-    max_parts: int | None = None,
 ) -> tuple[list[frozenset], list[dict]]:
     """Grow a family of prime sets, candidate by candidate, keeping all
     pairwise intersections bounded-thick.
@@ -215,7 +212,7 @@ def greedy_thick_extend(
     universe = frozenset().union(*family)
 
     def thick(S):
-        return is_thick_bounded(S, params, max_set=max_set, max_parts=max_parts).thick
+        return is_thick_bounded(S, params).thick
 
     for a, b in combinations_with_replacement(family, 2):
         if not thick(a & b):

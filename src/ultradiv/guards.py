@@ -1,11 +1,11 @@
 """Combinatorial blow-up guards.
 
 Several operations (pattern-set generation, set-partition enumeration)
-can explode for careless inputs.  Guards are on by default and can be
-lifted either per call or globally with the environment variable
-ULTRADIV_GUARD: set it to ``off`` or ``0`` to disable all guards, or to
-a positive integer to replace every default cap with that value.  Any
-other value is an error (ValueError), not silently ignored.
+can explode for careless inputs.  Guards are on by default; the one way
+to lift them is the environment variable ULTRADIV_GUARD: set it to
+``off`` or ``0`` to disable all guards, or to a positive integer to
+replace every default cap with that value.  Any other value is an error
+(ValueError), not silently ignored.
 """
 
 from __future__ import annotations
@@ -36,21 +36,12 @@ def _env_override() -> int | None:
     return cap
 
 
-def check_guard(value: int, default_cap: int, what: str, cap: int | None = None) -> None:
-    """Raise GuardExceeded if value exceeds the effective cap.
-
-    cap=None uses default_cap (or the env override); an explicit cap<=0
-    disables the check for this call.
-    """
-    if cap is None:
-        env = _env_override()
-        if env == 0:
-            return
-        cap = env if env is not None else default_cap
-    if cap <= 0:
-        return
-    if value > cap:
+def check_guard(value: int, default_cap: int, what: str) -> None:
+    """Raise GuardExceeded if value exceeds default_cap, or the cap that
+    ULTRADIV_GUARD puts in its place (off or 0: no check)."""
+    env = _env_override()
+    cap = default_cap if env is None else env
+    if cap and value > cap:
         raise GuardExceeded(
-            f"{what} = {value} exceeds guard cap {cap}; "
-            f"pass an explicit cap or set {ENV_VAR}=off to override"
+            f"{what} = {value} exceeds guard cap {cap}; set {ENV_VAR}=off or a larger cap to lift it"
         )

@@ -283,7 +283,6 @@ def generate_falpha(
     asg: Mapping[Label, Iterable[int]],
     *,
     allow_insufficient: bool = False,
-    max_elements: int | None = None,
 ) -> NatSet:
     """Materialize all numbers matching `alpha` under a prime assignment.
 
@@ -292,10 +291,10 @@ def generate_falpha(
     smaller than a label's slot count raises InsufficientPrimesError
     unless allow_insufficient is set, in which case the result is empty.
     """
-    return _generate(alpha, check_assignment(asg, alpha), allow_insufficient, max_elements)
+    return _generate(alpha, check_assignment(asg, alpha), allow_insufficient)
 
 
-def _generate(alpha: Pattern, pools: Mapping, allow_insufficient=False, max_elements=None) -> NatSet:
+def _generate(alpha: Pattern, pools: Mapping, allow_insufficient=False) -> NatSet:
     """generate_falpha on pools already checked by check_assignment."""
     for label in alpha.support:
         if len(pools[label]) < alpha.slots(label):
@@ -305,8 +304,7 @@ def _generate(alpha: Pattern, pools: Mapping, allow_insufficient=False, max_elem
                 f"label {label!r} needs {alpha.slots(label)} distinct primes, "
                 f"pool has {len(pools[label])}"
             )
-    check_guard(_estimated_size(alpha, pools), GENERATE_CAP, "generated set size",
-                cap=max_elements)
+    check_guard(_estimated_size(alpha, pools), GENERATE_CAP, "generated set size")
     products = [1]
     for label in alpha.support:
         groups = [(k, n) for k, n in enumerate(restrict(alpha, label), 1) if n]

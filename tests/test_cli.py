@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 import sympy
 
 from test_imports import SUBCOMMANDS
 from ultradiv import arith, cli, patterns
-from ultradiv.cli import main
+from ultradiv.cli import build_parser, main
 from ultradiv.guards import ENV_VAR
 from ultradiv.patterns import pattern_of, shape_class, shape_name, sigma
 
@@ -171,6 +174,12 @@ def test_every_report_shares_one_envelope(capsys, monkeypatch, argv, env, kind):
     ["verify", "progr", "--count", "5"],
     ["verify", "refinement", "--samples", "3"],
     ["verify", "g-disjoint", "--seed", "1"],
+    # ULTRADIV_GUARD is the one way to lift a guard: no per-call cap flags
+    ["thick", "2,3,5", "--max-set", "20"],
+    ["thick", "2,3,5", "--max-parts", "5"],
+    ["greedy", "--seeds", "2,3", "--max-set", "20"],
+    ["greedy", "--seeds", "2,3", "--max-parts", "5"],
+    ["falpha", "(p,1)x2", "--assign", "p:3,5,7", "--max-elements", "10"],
 ])
 def test_option_a_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -270,6 +279,15 @@ def test_thick(capsys):
     assert rep["thick"] is False
 
 
+def test_thick_huge_k_max_answers_at_once(capsys):
+    # colors of indices <= 3 stop at 2, so k_max is clamped to 3 before any class set is built
+    _, small = run_json(capsys, "thick", "2,3,5", "--k-max", "4")
+    code, huge = run_json(capsys, "thick", "2,3,5", "--k-max", "1000000000000")
+    assert code == 0 and huge["certificate"] == small["certificate"] == {
+        "partition": [[2, 3, 5]], "missing": [3]}
+    assert huge["elapsed_ms"] < 1000
+
+
 @pytest.mark.parametrize("arg", ["", "-", ";"])
 def test_thick_empty_set(capsys, arg):
     code, rep = run_json(capsys, "thick", arg)
@@ -327,3 +345,25 @@ def test_text_format_renders(capsys):
     code, out = run(capsys, "classify", "60")
     assert code == 0
     assert 'class: "P^2 P^(2)"' in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_ONLY_FLAGS = {"--no-build-isolation"}  # pip's, in the install instructions
+
+
+def long_options(parser):
+    """Every --option of a parser and of its subparsers, recursively."""
+    found = set()
+    for action in parser._actions:
+        found.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= long_options(sub)
+    return found
+
+
+def test_readme_names_exactly_the_parser_options():
+    options = long_options(build_parser())
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", README.read_text()))
+    assert options - named == set(), "options missing from README"
+    assert named - options == README_ONLY_FLAGS, "README names options the parser lacks"

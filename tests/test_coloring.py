@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from ultradiv import coloring
-from ultradiv.arith import coprime_power, first_primes
+from ultradiv.arith import coprime_power, first_primes, prime_index
 from ultradiv.coloring import (
     ThickParams,
     block_interval,
@@ -285,6 +285,31 @@ def test_is_thick_certificate_is_real():
             assert all(class_of(params.n, x) != missing for x in prods)
 
 
+def thick_oracle(A, params):
+    """Bounded thickness from literal products and the classifier, over
+    every partition into at most m_max parts."""
+
+    def covers(part):
+        prods = coprime_power(part, params.n)
+        klasses = {class_of(params.n, x) for x in prods}
+        return set(range(1, params.k_max + 1)) <= klasses
+
+    def parts_of(s, m):
+        s = sorted(s)
+        if not s:
+            yield []
+            return
+        first, rest = s[0], s[1:]
+        for sub in parts_of(rest, m):
+            for i in range(len(sub)):
+                yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
+            if len(sub) < m:
+                yield [[first]] + sub
+
+    return all(any(covers(frozenset(p)) for p in partition)
+               for partition in parts_of(A, params.m_max))
+
+
 def test_is_thick_dual_route():
     # pair-scan coverage must agree with literal products + classifier
     rng = random.Random(9)
@@ -294,38 +319,40 @@ def test_is_thick_dual_route():
         params = ThickParams(
             m_max=rng.randrange(1, 3), k_max=rng.randrange(1, 4), n=rng.choice((2, 3))
         )
-        got = is_thick_bounded(A, params).thick
-
-        def covers(part):
-            prods = coprime_power(part, params.n)
-            klasses = {class_of(params.n, x) for x in prods}
-            return set(range(1, params.k_max + 1)) <= klasses
-
-        def parts_of(s, m):
-            s = sorted(s)
-            if not s:
-                yield []
-                return
-            first, rest = s[0], s[1:]
-            for sub in parts_of(rest, m):
-                for i in range(len(sub)):
-                    yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-                if len(sub) < m:
-                    yield [[first]] + sub
-        expect = all(
-            any(covers(frozenset(p)) for p in partition)
-            for partition in parts_of(A, params.m_max)
-        )
-        assert got == expect, (sorted(A), params)
+        assert is_thick_bounded(A, params).thick == thick_oracle(A, params), (sorted(A), params)
 
 
 def test_thick_guard():
-    params = ThickParams(m_max=4, k_max=1, n=2)
-    with pytest.raises(GuardExceeded):
-        is_thick_bounded(first_primes(5), params)
-    assert is_thick_bounded(first_primes(5), params, max_parts=4).thick in (True, False)
+    # 5 primes in 4 parts is 4^4 = 256 partitions at most, inside the partition guard
+    for k_max in (1, 2, 3):
+        params = ThickParams(m_max=4, k_max=k_max, n=2)
+        assert is_thick_bounded(first_primes(5), params).thick == thick_oracle(first_primes(5),
+                                                                                params)
     with pytest.raises(GuardExceeded):
         is_thick_bounded(first_primes(13), ThickParams(1, 1, 2))
+
+
+def unclamped_thick(A, params):
+    """is_thick_bounded's search with k_max passed through as given."""
+    prime_at = {prime_index(p): p for p in sorted(A)}
+    for partition in coloring._partitions_bounded(tuple(prime_at), params.m_max):
+        missing = [coloring._missing_class(part, params.n, params.k_max) for part in partition]
+        if None not in missing:
+            return False, {"partition": [[prime_at[i] for i in p] for p in partition],
+                           "missing": missing}
+    return True, None
+
+
+def test_k_max_clamp_keeps_answer_and_certificate():
+    # pools of 2..40 primes: small ones meet every class up to the clamp, and
+    # k_max up to 10 runs past it
+    rng = random.Random(19)
+    for _ in range(300):
+        primes = first_primes(rng.randrange(2, 41))
+        A = rng.sample(primes, rng.randrange(1, min(8, len(primes) + 1)))
+        params = ThickParams(rng.randrange(1, 4), rng.randrange(1, 11), rng.choice((2, 3)))
+        res = is_thick_bounded(A, params)
+        assert (res.thick, res.certificate) == unclamped_thick(A, params), (sorted(A), params)
 
 
 def test_check_thick_lemmas():

@@ -14,11 +14,8 @@ from ultradiv.patterns import Pattern, generate_falpha
 
 def test_check_guard_basics():
     check_guard(5, 10, "x")
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match=f"x = 11 exceeds guard cap 10; set {ENV_VAR}="):
         check_guard(11, 10, "x")
-    check_guard(11, 10, "x", cap=0)  # explicit cap <= 0 disables
-    with pytest.raises(GuardExceeded):
-        check_guard(11, 10, "x", cap=10)
 
 
 def test_env_override_disables(monkeypatch):
@@ -41,7 +38,6 @@ def test_env_override_rejects_other_values(monkeypatch, capsys, raw):
     monkeypatch.setenv(ENV_VAR, raw)
     with pytest.raises(ValueError, match=f"{ENV_VAR}={raw!r}: expected off, 0 or a positive"):
         check_guard(5, 10, "x")
-    check_guard(5, 10, "x", cap=10)  # an explicit cap does not read the variable
     code = main(["thick", "2,3,5,7,11", "--m-max", "4", "--format", "json"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 2 and ENV_VAR in rep["error"] and "guard cap" not in rep["error"]
@@ -51,19 +47,53 @@ def test_generate_guard(monkeypatch):
     # 20 choose 10 candidate sets would blow the (tiny) cap
     pat = Pattern([("p", 1, 10)])
     asg = {"p": tuple(first_primes(20))}
-    with pytest.raises(GuardExceeded):
-        generate_falpha(pat, asg, max_elements=1000)
     monkeypatch.setenv(ENV_VAR, "1000")
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded, match="generated set size = 184756 exceeds guard cap 1000"):
         generate_falpha(pat, asg)
 
 
 def test_thick_guard_env(monkeypatch):
     params = ThickParams(m_max=4, k_max=1, n=2)
     with pytest.raises(GuardExceeded):
-        is_thick_bounded(first_primes(5), params)
+        is_thick_bounded(first_primes(10), params)
     monkeypatch.setenv(ENV_VAR, "off")
-    assert is_thick_bounded(first_primes(5), params).thick is not None
+    assert is_thick_bounded(first_primes(10), params).thick is not None
+
+
+def refuse_prime_index(*args):
+    raise AssertionError("prime_index ran before the guard")
+
+
+@pytest.mark.parametrize("size, m_max", [(12, 3), (5, 4), (8, 4), (9, 4), (6, 10**9)])
+def test_thick_guard_admits(monkeypatch, size, m_max):
+    # at most min(m_max, n)^(n-1) partitions: 3^11 = 177147 is the cap itself
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    res = is_thick_bounded(first_primes(size), ThickParams(m_max, 1, 2))
+    assert res.thick in (True, False)
+
+
+@pytest.mark.parametrize("size, m_max, what", [
+    (10, 4, f"thickness partitions = {4**9} exceeds guard cap {3**11};"),
+    (12, 4, f"thickness partitions = {4**11} exceeds guard cap {3**11};"),
+    (13, 1, "thickness set size = 13 exceeds guard cap 12;"),
+])
+def test_thick_guard_refuses_before_indexing(monkeypatch, size, m_max, what):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    monkeypatch.setattr(coloring, "prime_index", refuse_prime_index)
+    with pytest.raises(GuardExceeded, match=what):
+        is_thick_bounded(first_primes(size), ThickParams(m_max, 1, 2))
+
+
+def test_thick_guard_env_replaces_the_partition_cap(monkeypatch):
+    # 5 primes in 4 parts (4^4 = 256 partitions) pass the defaults but not a cap of 100;
+    # past 2^64 the guard sees 2^64, so no 18,000-digit power is built or printed
+    monkeypatch.setattr(coloring, "prime_index", refuse_prime_index)
+    monkeypatch.setenv(ENV_VAR, "100")
+    with pytest.raises(GuardExceeded, match="thickness partitions = 256 exceeds guard cap 100;"):
+        is_thick_bounded(first_primes(5), ThickParams(4, 1, 2))
+    monkeypatch.setenv(ENV_VAR, "100000")
+    with pytest.raises(GuardExceeded, match=f"thickness partitions = {2**64} exceeds"):
+        is_thick_bounded(first_primes(5000), ThickParams(5000, 1, 2))
 
 
 @pytest.mark.parametrize("argv, estimate", [

@@ -16,18 +16,16 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "NatSet", "coprime_power", "coprime_product", "down_closure", "drop_to_two",
-        "elementwise_power", "factorize", "level_of", "nth_prime", "prime_index",
-        "quotient_set", "smallest_prime_factor", "up_closure",
+        "NatSet", "coprime_power", "coprime_product", "factorize", "level_of", "prime_index",
+        "quotient_set", "up_closure",
     ), "arith"),
     **dict.fromkeys((
         "ThickParams", "check_thick_lemmas", "class_of", "color_pair", "color_tuple",
-        "coloring_from_set", "find_mono_ap", "find_monochromatic", "is_thick_bounded",
-        "verify_progr", "verify_refinement",
+        "coloring_from_set", "find_monochromatic", "is_thick_bounded", "verify_progr",
+        "verify_refinement",
     ), "coloring"),
     **dict.fromkeys((
-        "ChainOfSets", "ECFunction", "build_Y", "ec_enumerate", "g_value",
-        "greedy_thick_extend", "pseudo_check", "verify_g_disjoint",
+        "ECFunction", "ec_enumerate", "g_value", "greedy_thick_extend", "verify_g_disjoint",
     ), "constructions"),
     **dict.fromkeys((
         "FinFilter", "divides_down", "divides_up", "image_filter", "member",

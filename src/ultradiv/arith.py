@@ -14,16 +14,11 @@ from itertools import chain, combinations, compress
 __all__ = [
     "NatSet",
     "factorize",
-    "smallest_prime_factor",
     "up_closure",
-    "down_closure",
     "quotient_set",
     "coprime_product",
     "coprime_power",
-    "elementwise_power",
     "level_of",
-    "drop_to_two",
-    "nth_prime",
     "prime_index",
     "primes_upto",
     "first_primes",
@@ -71,13 +66,6 @@ def first_primes(count: int) -> list[int]:
         n = max(count, 6)
         _extend_sieve(int(n * (math.log(n) + math.log(math.log(n)))) + 10)
     return _primes[:count]
-
-
-def nth_prime(i: int) -> int:
-    """The i-th prime in increasing order; nth_prime(1) = 2."""
-    if i < 1:
-        raise ValueError("prime index must be >= 1")
-    return first_primes(i)[i - 1]
 
 
 def prime_index(p: int) -> int:
@@ -234,13 +222,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def smallest_prime_factor(n: int) -> int:
-    """Least prime dividing n; defined for n >= 2 only."""
-    if n < 2:
-        raise ValueError("smallest_prime_factor is undefined on 1")
-    return min(factorize(n))
-
-
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, increasing."""
     if n < 1:
@@ -315,11 +296,6 @@ def up_closure(A, W: int) -> NatSet:
     return NatSet._trusted(chain.from_iterable(range(a, W + 1, a) for a in gens), W)
 
 
-def down_closure(A) -> NatSet:
-    """All divisors of all elements of A (finite, no window needed)."""
-    return NatSet._trusted(chain.from_iterable(divisors(a) for a in _elems(A)))
-
-
 def quotient_set(A, n: int) -> NatSet:
     """A/n = {m : m*n in A}.  Empty when n divides no element."""
     if n < 1:
@@ -352,30 +328,6 @@ def coprime_power(A, n: int) -> NatSet:
     return acc
 
 
-def elementwise_power(A, n: int) -> NatSet:
-    """{a^n : a in A}; the 0-th power of anything is {1}."""
-    if n < 0:
-        raise ValueError("exponent must be >= 0")
-    elems = _elems(A)
-    return NatSet._trusted({1} if n == 0 else {a**n for a in elems})
-
-
 def level_of(n: int) -> int:
     """Number of prime factors counted with multiplicity; level_of(1) = 0."""
     return sum(factorize(n).values())
-
-
-def drop_to_two(n: int) -> int:
-    """Product of the two smallest prime factors of n, with multiplicity.
-
-    Defined only off primes and 1 (needs at least two prime factors).
-    """
-    fac = factorize(n)
-    if sum(fac.values()) < 2:
-        raise ValueError("defined only for numbers with at least two prime factors")
-    flat: list[int] = []
-    for p in sorted(fac):
-        flat.extend([p] * fac[p])
-        if len(flat) >= 2:
-            break
-    return flat[0] * flat[1]

@@ -325,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2, help="color index")
     p.add_argument("--a0-max", type=int, default=256, help="max start")
     p.add_argument("--d-max", type=int, default=32, help="max step")
-    p = leaf(suites, "refinement", cmd_refinement, "dropping the largest index keeps the class")
+    p = leaf(suites, "refinement", cmd_refinement,
+             "tuples keep the block-tree color of their prefix")
     p.add_argument("--arity", type=int, default=2, help="product arity")
     p.add_argument("--index-bound", type=int, default=20, help="prime index bound")
     p = leaf(suites, "thick-lemmas", cmd_thick_lemmas,
@@ -354,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("count", type=int)
     p = leaf(sub, "greedy", cmd_greedy, "greedy thickness-preserving family extension", bounds)
     p.add_argument("--seeds", required=True,
-                   help='prime sets "2,3,5;7,11" (semicolon separated)')
+                   help='prime sets "2,3,5;7,11", semicolon separated, "-" for the empty '
+                        'set; a value that starts with "-" takes the form --seeds=VALUE')
     p.add_argument("--candidates", default="",
-                   help="candidate prime sets, same syntax")
+                   help='candidate prime sets, same syntax, e.g. --candidates="-;5,7"')
     return parser
 
 

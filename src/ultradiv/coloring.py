@@ -37,7 +37,6 @@ __all__ = [
     "block_interval",
     "verify_progr",
     "verify_refinement",
-    "find_mono_ap",
     "is_thick_bounded",
     "check_thick_lemmas",
     "coloring_from_set",
@@ -194,14 +193,14 @@ def _progr_hits(k: int, a0_max: int, d: int, full: int) -> int:
 
 
 def verify_refinement(n: int, index_bound: int) -> VerifyReport:
-    """For every (n+1)-subset of {1..index_bound}: color with and without
-    the largest member must agree.
+    """For every (n+1)-subset of {1..index_bound}: its color must be the
+    color its n-prefix gets from the block definition.
 
     Subsets are walked in lexicographic order, grouped by their n-prefix:
-    each prefix is colored once and each subset once.  As `color_tuple`
-    is defined, the check is vacuous for n >= 2: the color reads the two
-    smallest members, which dropping the largest never changes, so only
-    color_tuple's own sort and dedupe are exercised.
+    each prefix is colored once, by `_block_color`, and each subset once,
+    by `color_tuple`.  So the check fails when the xor identity in
+    `_pair_color` and the dyadic blocks disagree on a pair, or when
+    dropping the largest member changes a tuple's color.
     """
     if n < 2:
         raise ValueError("refinement starts at arity 2")
@@ -215,7 +214,7 @@ def verify_refinement(n: int, index_bound: int) -> VerifyReport:
     violations = []
     checked = 0
     for prefix in combinations(range(1, index_bound), n):
-        color = color_tuple(prefix, n)
+        color = _block_color(prefix[0], prefix[1])
         lasts = range(prefix[-1] + 1, index_bound + 1)
         checked += len(lasts)
         for last in lasts:
@@ -225,31 +224,18 @@ def verify_refinement(n: int, index_bound: int) -> VerifyReport:
     return VerifyReport(checked, violations)
 
 
-def find_mono_ap(partition: Iterable[Iterable[int]], length: int) -> tuple[int, ...] | None:
-    """First monochromatic arithmetic progression of the given length.
+def _block_color(a: int, b: int) -> int:
+    """The pair color of 1 <= a < b read off the block tree: the least
+    level whose block around a also holds b, minus the gap's dyadic size.
 
-    The classes are scanned over the covered initial segment in
-    (start, step) order; None means none exists within it, which at
-    finite scale refutes nothing.
+    A level-l block spans 2^l numbers, so the search starts at the first
+    level wide enough for the gap, and the color is one more than the
+    number of levels it climbs from there.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    classes = [frozenset(c) for c in partition]
-    covered = frozenset().union(*classes) if classes else frozenset()
-    if not covered:
-        return None
-    top = max(covered)
-    for a0 in range(1, top + 1):
-        owner = next((c for c in classes if a0 in c), None)
-        if owner is None:
-            continue
-        if length == 1:
-            return (a0,)
-        for d in range(1, (top - a0) // max(1, length - 1) + 1):
-            terms = range(a0, a0 + length * d, d)
-            if all(t in owner for t in terms):
-                return tuple(terms)
-    return None
+    level = start = (b - a).bit_length()
+    while b not in block_interval(level, ((a - 1) >> level) + 1):
+        level += 1
+    return level - start + 1
 
 
 # --- bounded thickness ---------------------------------------------------------

@@ -1,6 +1,5 @@
 """Constructive auxiliaries: eventually constant prime functions and
-their index maps, chain-based pair sets, pseudointersections with slack,
-and a greedy thickness-preserving family extender.
+their index maps, and a greedy thickness-preserving family extender.
 
 The greedy extender is a finite-stage analog of a transfinite recursion:
 for each candidate set it keeps the candidate if every intersection with
@@ -14,18 +13,15 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Sequence
 
-from .arith import NatSet, first_primes, is_prime, primes_upto
+from .arith import first_primes, is_prime
 from .coloring import ThickParams, is_thick_bounded
 
 __all__ = [
     "ECFunction",
-    "ChainOfSets",
     "ec_enumerate",
     "g_value",
     "verify_g_disjoint",
     "GDisjointReport",
-    "build_Y",
-    "pseudo_check",
     "greedy_thick_extend",
 ]
 
@@ -69,16 +65,6 @@ class ECFunction:
             raise ValueError("arguments start at 1")
         return self.prefix[n - 1] if n <= len(self.prefix) else self.tail
 
-    @property
-    def max_value(self) -> int:
-        return max((*self.prefix, self.tail))
-
-    def bound_ok(self, index_prime: int) -> bool:
-        """The index constraint: values <= i at i in {2,3}, < i above."""
-        if index_prime in (2, 3):
-            return self.max_value <= index_prime
-        return self.max_value < index_prime
-
     def __repr__(self) -> str:
         if not self.prefix:
             return f"ECFunction(const {self.tail})"
@@ -89,7 +75,8 @@ def ec_enumerate(count: int) -> dict[int, ECFunction]:
     """Assign distinct eventually constant functions to the first `count`
     primes: each index prime, in increasing order, takes the first unused
     function in canonical order (prefix length, then prefix
-    lexicographically, then tail) that satisfies its bound.
+    lexicographically, then tail) that satisfies its bound: every value is
+    at most i for i in {2, 3}, and below i from 5 on.
 
     That rule has a closed form, returned directly.  Constants come first,
     so 2 and 3 take the constants 2 and 3, and from 7 on p_k takes the
@@ -136,60 +123,6 @@ def verify_g_disjoint(asg: Mapping[int, ECFunction], m: int, n: int) -> GDisjoin
     gn = {g_value(asg, i, n): i for i in diff}
     collisions = [(gm[v], gn[v], v) for v in sorted(gm.keys() & gn.keys())]
     return GDisjointReport(diff, collisions)
-
-
-class ChainOfSets:
-    """Descending chain X_1 >= X_2 >= ... of finite prime sets.
-
-    Indexing clamps: positions beyond the last listed set return the
-    last one (a finite chain read as eventually constant).
-    """
-
-    def __init__(self, sets: Iterable[Iterable[int]]):
-        self.sets: tuple[frozenset, ...] = tuple(frozenset(s) for s in sets)
-        if not self.sets:
-            raise ValueError("chain needs at least one set")
-        for s in self.sets:
-            for p in s:
-                if not is_prime(p):
-                    raise ValueError(f"chain elements must be prime sets, got {p}")
-        for a, b in zip(self.sets, self.sets[1:]):
-            if not b <= a:
-                raise ValueError("chain must be descending")
-
-    def at(self, j: int) -> frozenset:
-        if j < 1:
-            raise ValueError("chain positions start at 1")
-        return self.sets[min(j, len(self.sets)) - 1]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
-def build_Y(chain: ChainOfSets, W: int) -> NatSet:
-    """Windowed pair set of a chain: products m*n of distinct primes with
-    m > n and m in the chain set at position n."""
-    if W < 1:
-        raise ValueError("window must be >= 1")
-    primes = primes_upto(W // 2)
-    out = set()
-    for idx, n in enumerate(primes):
-        level = chain.at(n)
-        for m in primes[idx + 1 :]:
-            if m * n > W:
-                break
-            if m in level:
-                out.add(m * n)
-    return NatSet._trusted(out, W)
-
-
-def pseudo_check(B: Iterable[int], chain: ChainOfSets, slack: int) -> bool:
-    """Finitized pseudointersection: B sticks out of every chain set by at
-    most `slack` elements."""
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    Bs = frozenset(B)
-    return all(len(Bs - X) <= slack for X in chain.sets)
 
 
 def greedy_thick_extend(

@@ -14,18 +14,13 @@ from ultradiv.arith import (
     coprime_power,
     coprime_product,
     divisors,
-    down_closure,
-    drop_to_two,
-    elementwise_power,
     factorize,
     first_primes,
     is_prime,
     level_of,
-    nth_prime,
     prime_index,
     primes_upto,
     quotient_set,
-    smallest_prime_factor,
     up_closure,
 )
 
@@ -90,44 +85,9 @@ def test_factorize_matches_sympy_near_the_trial_bound():
         assert factorize(n) == sympy.factorint(n), n
 
 
-def test_spf():
-    assert smallest_prime_factor(2) == 2
-    assert smallest_prime_factor(15) == 3
-    assert smallest_prime_factor(77) == 7
-    for n in (1, 0, -5):
-        with pytest.raises(ValueError):
-            smallest_prime_factor(n)
-    assert smallest_prime_factor(1000003 * 1000033) == 1000003
-
-
-def test_spf_matches_trial_oracle():
-    def oracle(n):
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                return d
-            d += 1
-        return n
-
-    for n in range(2, 3000):
-        assert smallest_prime_factor(n) == oracle(n)
-
-
-def test_nth_prime():
-    assert nth_prime(1) == 2
-    assert nth_prime(4) == 7
-    assert nth_prime(25) == 97  # sieve oracle
-    assert [nth_prime(i) for i in range(1, 9)] == [2, 3, 5, 7, 11, 13, 17, 19]
-
-
-def test_nth_prime_against_sympy():
-    for i in (1, 10, 100, 500, 1000):
-        assert nth_prime(i) == sympy.prime(i)
-
-
 def test_prime_index_inverts_nth_prime():
-    for i in range(1, 200):
-        assert prime_index(nth_prime(i)) == i
+    for i, p in enumerate(first_primes(199), 1):
+        assert prime_index(p) == i
     with pytest.raises(ValueError):
         prime_index(6)
 
@@ -159,8 +119,6 @@ def test_sieve_matches_trial_division(monkeypatch, start):
         fresh()
         assert first_primes(len(expected)) == expected
         fresh()
-        assert nth_prime(len(expected)) == expected[-1]
-        fresh()
         assert prime_index(expected[-1]) == len(expected)
 
 
@@ -177,12 +135,6 @@ def test_up_closure():
     assert up_closure({1}, 5) == {1, 2, 3, 4, 5}
     assert up_closure({7}, 6) == frozenset()
     assert up_closure({2, 3}, 10).window == 10
-
-
-def test_down_closure():
-    assert down_closure({6}) == {1, 2, 3, 6}
-    assert down_closure({4, 9}) == {1, 2, 3, 4, 9}
-    assert down_closure({1}) == {1}
 
 
 def test_quotient_set():
@@ -218,25 +170,10 @@ def test_coprime_power():
     assert coprime_power({1, 2}, 3) == {1, 2}  # 1 is coprime to itself
 
 
-def test_elementwise_power():
-    assert elementwise_power({2, 3}, 2) == {4, 9}
-    assert elementwise_power({17, 90}, 0) == {1}
-    assert elementwise_power({5}, 1) == {5}
-
-
 def test_level_of():
     assert level_of(1) == 0
     assert level_of(12) == 3
     assert level_of(210) == 4
-
-
-def test_drop_to_two():
-    assert drop_to_two(12) == 4
-    assert drop_to_two(15) == 15
-    assert drop_to_two(105) == 15
-    for bad in (1, 7, 97):
-        with pytest.raises(ValueError):
-            drop_to_two(bad)
 
 
 def test_natset_window_validation():
@@ -282,16 +219,10 @@ def test_up_closure_idempotent_monotone(A):
     assert u <= bigger
 
 
-@given(small_sets)
-def test_down_closure_idempotent(A):
-    d = down_closure(A)
-    assert down_closure(d) == d
-
-
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=300))
 def test_singleton_duality(m, n):
     W = max(m, n)
-    assert (n in up_closure({m}, W)) == (m in down_closure({n}))
+    assert (n in up_closure({m}, W)) == (n % m == 0)
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6))
@@ -360,17 +291,6 @@ SET_OPS = {
     ),
     "coprime_power_2": (lambda A: coprime_power(A, 2), lambda A: _coprime_fold(A, 2), lambda w: None),
     "coprime_power_3": (lambda A: coprime_power(A, 3), lambda A: _coprime_fold(A, 3), lambda w: None),
-    "down_closure": (
-        lambda A: down_closure(A),
-        lambda A: {d for a in A for d in range(1, a + 1) if a % d == 0},
-        lambda w: None,
-    ),
-    "elementwise_power_0": (lambda A: elementwise_power(A, 0), lambda A: {1}, lambda w: None),
-    "elementwise_power_3": (
-        lambda A: elementwise_power(A, 3),
-        lambda A: {a**3 for a in A},
-        lambda w: None,
-    ),
 }
 
 # each way a set operand can arrive, with the window it carries

@@ -14,7 +14,6 @@ from ultradiv.coloring import (
     color_pair,
     color_tuple,
     coloring_from_set,
-    find_mono_ap,
     find_monochromatic,
     is_thick_bounded,
     verify_progr,
@@ -184,11 +183,12 @@ def test_verify_refinement():
 
 
 def refinement_reference(n, index_bound):
-    """The plain scan: color every (n+1)-subset and, apart, its n-prefix."""
+    """The plain scan: color every (n+1)-subset, and apart its n-prefix
+    from the literal block tree."""
     checked, violations = 0, []
     for comb in combinations(range(1, index_bound + 1), n + 1):
         checked += 1
-        if coloring.color_tuple(comb, n + 1) != coloring.color_tuple(comb[:-1], n):
+        if coloring.color_tuple(comb, n + 1) != color_oracle(comb[0], comb[1]):
             violations.append(comb)
     return checked, violations
 
@@ -204,24 +204,46 @@ def test_verify_refinement_matches_reference_scan():
 
 
 def test_verify_refinement_colors_every_tuple(monkeypatch):
-    # a color that reads the largest member turns every dropped member
-    # into a possible violation, so a skipped or misattributed tuple shows
-    real = coloring.color_tuple
+    # a color that reads the largest member breaks the tuples whose largest
+    # member is odd and no other, so a skipped or misattributed tuple shows
+    real_tuple, real_block = coloring.color_tuple, coloring._block_color
     calls = {}
 
     def by_largest(indices, n=None):
         calls[n] = calls.get(n, 0) + 1
-        return real(indices, n) + max(indices) % 3
+        return real_tuple(indices, n) + max(indices) % 2
+
+    def block_color(a, b):
+        calls["block"] = calls.get("block", 0) + 1
+        return real_block(a, b)
 
     monkeypatch.setattr(coloring, "color_tuple", by_largest)
+    monkeypatch.setattr(coloring, "_block_color", block_color)
     for n, bound in REFINEMENT_CASES:
         expect = refinement_reference(n, bound)
-        assert expect[1]
+        assert expect[1] or bound == n + 1  # one tuple, whose largest member may be even
         calls.clear()
         rep = verify_refinement(n, bound)
         assert (rep.checked, rep.violations) == expect, (n, bound)
-        # one call per tuple, one per prefix that has an extension
-        assert calls == {n + 1: math.comb(bound, n + 1), n: math.comb(bound - 1, n)}
+        # one color_tuple call per tuple, one block color per prefix that has an extension
+        assert calls == {n + 1: math.comb(bound, n + 1), "block": math.comb(bound - 1, n)}
+
+
+def test_verify_refinement_fails_when_the_pair_color_drifts(monkeypatch):
+    # prefixes are colored from the block tree and tuples through
+    # _pair_color, so a pair color off by one on (3, 5) shows up in every
+    # tuple whose two smallest members are 3 and 5, and nowhere else
+    real = coloring._pair_color
+    monkeypatch.setattr(coloring, "_pair_color", lambda a, b: real(a, b) + ((a, b) == (3, 5)))
+    rep = verify_refinement(2, 8)
+    assert rep.checked == math.comb(8, 3)
+    assert rep.violations == [(3, 5, 6), (3, 5, 7), (3, 5, 8)]
+
+
+def test_block_color_is_the_pair_color():
+    for b in range(2, 512):
+        for a in range(1, b):
+            assert coloring._block_color(a, b) == coloring._pair_color(a, b), (a, b)
 
 
 def test_color_tuple_matches_color_pair():
@@ -232,15 +254,6 @@ def test_color_tuple_matches_color_pair():
         assert color_tuple(xs) == color_pair(low[0], low[1])
     with pytest.raises(ValueError, match="pair elements must be >= 1"):
         color_tuple({0, 5})
-
-
-def test_find_mono_ap():
-    odds = set(range(1, 10, 2))
-    evens = set(range(2, 10, 2))
-    assert find_mono_ap([odds, evens], 3) == (1, 3, 5)
-    assert find_mono_ap([set(range(1, 10))], 4) == (1, 2, 3, 4)
-    assert find_mono_ap([{1}, {2}], 2) is None
-    assert find_mono_ap([], 2) is None
 
 
 @pytest.mark.parametrize("n, message", [(1, "product arity must be >= 2"),

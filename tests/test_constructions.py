@@ -7,13 +7,10 @@ from ultradiv import constructions
 from ultradiv.arith import first_primes, primes_upto
 from ultradiv.coloring import ThickParams
 from ultradiv.constructions import (
-    ChainOfSets,
     ECFunction,
-    build_Y,
     ec_enumerate,
     g_value,
     greedy_thick_extend,
-    pseudo_check,
     verify_g_disjoint,
 )
 
@@ -22,19 +19,10 @@ def test_ecfunction_basics():
     f = ECFunction((2, 5), 3)
     assert [f(n) for n in (1, 2, 3, 4, 10)] == [2, 5, 3, 3, 3]
     assert ECFunction((2, 3, 3), 3) == ECFunction((2,), 3)  # minimal form
-    assert ECFunction((), 7).max_value == 7
     with pytest.raises(ValueError):
         ECFunction((4,), 3)
     with pytest.raises(ValueError):
         ECFunction((), 1)
-
-
-def test_ecfunction_bounds():
-    assert ECFunction((), 2).bound_ok(2)
-    assert ECFunction((), 3).bound_ok(3)
-    assert not ECFunction((), 5).bound_ok(5)
-    assert ECFunction((2,), 3).bound_ok(5)
-    assert ECFunction((), 5).bound_ok(7)
 
 
 def test_ec_enumerate_prefix():
@@ -47,11 +35,17 @@ def test_ec_enumerate_prefix():
     assert asg[13] == ECFunction((), 11)
 
 
+def within_index_bound(f, i):
+    """The index constraint: values <= i at i in {2, 3}, < i above."""
+    top = max((*f.prefix, f.tail))
+    return top <= i if i in (2, 3) else top < i
+
+
 def test_ec_enumerate_injective_bounded_deterministic():
     asg = ec_enumerate(80)
     assert len(set(asg.values())) == len(asg) == 80
     for i, f in asg.items():
-        assert f.bound_ok(i), (i, f)
+        assert within_index_bound(f, i), (i, f)
     assert ec_enumerate(80) == asg
 
 
@@ -144,50 +138,6 @@ def test_verify_g_disjoint_rich_assignments():
             asg[i] = ECFunction(prefix, rng.choice(allowed))
         for m, n in ((1, 2), (2, 3), (1, 4)):
             assert verify_g_disjoint(asg, m, n).ok
-
-
-def test_chain_validation():
-    ChainOfSets([set(first_primes(5)), set(first_primes(3))])
-    with pytest.raises(ValueError):
-        ChainOfSets([{2, 3}, {5}])  # not descending
-    with pytest.raises(ValueError):
-        ChainOfSets([{4}])
-    with pytest.raises(ValueError):
-        ChainOfSets([])
-
-
-def test_chain_clamps():
-    chain = ChainOfSets([set(primes_upto(35)), {p for p in primes_upto(35) if p > 5}])
-    assert chain.at(1) == frozenset(primes_upto(35))
-    assert chain.at(2) == chain.at(7) == {p for p in primes_upto(35) if p > 5}
-
-
-def test_build_Y():
-    allp = ChainOfSets([set(primes_upto(50))])
-    assert build_Y(allp, 15) == {6, 10, 14, 15}
-    chain = ChainOfSets([set(primes_upto(50)), {p for p in primes_upto(50) if p > 5}])
-    assert build_Y(chain, 35) == {14, 21, 22, 26, 33, 34, 35}
-    empty = ChainOfSets([set(primes_upto(20)), set()])
-    assert build_Y(ChainOfSets([set()]), 30) == frozenset()
-    assert 6 not in build_Y(empty, 30)
-
-
-def test_build_Y_membership_structure():
-    chain = ChainOfSets([set(primes_upto(60)), {p for p in primes_upto(60) if p >= 7}])
-    W = 60
-    y = build_Y(chain, W)
-    for x in y:
-        factors = sorted(p for p in primes_upto(W) if x % p == 0)
-        assert len(factors) == 2 and factors[0] * factors[1] == x
-        assert factors[1] in chain.at(factors[0])
-
-
-def test_pseudo_check():
-    chain = ChainOfSets([set(first_primes(8)), set(first_primes(5)), set(first_primes(3))])
-    assert pseudo_check(first_primes(3), chain, 0)
-    assert not pseudo_check(first_primes(5), chain, 0)
-    assert pseudo_check(first_primes(5), chain, 2)
-    assert not pseudo_check({29, 31, 37}, chain, 2)
 
 
 def test_greedy_examples():

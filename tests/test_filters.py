@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ultradiv.arith import NatSet, divisors, smallest_prime_factor
+from ultradiv.arith import NatSet, divisors, factorize
 from ultradiv.filters import (
     FinFilter,
     WindowOverflowError,
@@ -81,7 +81,7 @@ def test_divides_down_examples():
 
 
 def test_image_filter():
-    assert image_filter(smallest_prime_factor, F({12})).core == {2}
+    assert image_filter(lambda n: min(factorize(n)), F({12})).core == {2}
     assert image_filter(lambda a: a * a, F({3})).core == {9}
     x = F({4, 6})
     assert image_filter(lambda a: a, x) == x

@@ -28,8 +28,8 @@ _EXPORTS = {
         "ECFunction", "ec_enumerate", "g_value", "greedy_thick_extend", "verify_g_disjoint",
     ), "constructions"),
     **dict.fromkeys((
-        "FinFilter", "divides_down", "divides_up", "image_filter", "member",
-        "product_member", "product_principal",
+        "FinFilter", "divides_down", "divides_up", "image_filter", "product_member",
+        "product_principal",
     ), "filters"),
     **dict.fromkeys((
         "Pattern", "dominates", "extend_divisible", "generate_falpha", "pattern_add",

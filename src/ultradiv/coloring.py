@@ -45,9 +45,7 @@ __all__ = [
     "ThickLemmasReport",
 ]
 
-MAX_THICK_SET = 12  # default guard: the partition search recurses once per prime
-MAX_THICK_PARTITIONS = 3**11  # default guard: the bound on partitions at 12 primes in 3 parts
-MAX_VERIFY_WORK = 10**8  # default guard: pair checks or tuples one exhaustive verifier may do
+MAX_WORK = 10**8  # default guard: work one exhaustive search may do, in its own units
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> compress() selectors
 
 
@@ -131,11 +129,10 @@ def verify_progr(k: int, a0_max: int, d_max: int) -> VerifyReport:
         raise ValueError("color index must be >= 1")
     if a0_max < 1 or d_max < 1:
         raise ValueError("start and step bounds must be >= 1")
-    # from k = 64 on the guards see 2^64, a lower bound for 2^k + 1, so a
-    # huge k trips them before 2^k is ever built
+    # from k = 64 on the guard sees 2^64, a lower bound for 2^k + 1, so a
+    # huge k trips it before 2^k is ever built
     estimate = 2**k + 1 if k < 64 else 2**64
-    check_guard(estimate, 2**12 + 1, "progression length")
-    check_guard(a0_max * d_max * math.comb(estimate, 2), MAX_VERIFY_WORK, "progression pair checks")
+    check_guard(a0_max * d_max * math.comb(estimate, 2), MAX_WORK, "progression pair checks")
     length = 2**k + 1
     full = (1 << a0_max) - 1
     nums: list[int] = []  # 1, 2, ...: every violation's terms are items of this one list
@@ -209,7 +206,7 @@ def verify_refinement(n: int, index_bound: int) -> VerifyReport:
     # C(index_bound, n + 1) from its smaller side; once both sides exceed 64
     # it is above C(130, 65) > 2^64, and 2^64 stands in as a lower bound
     side = min(n + 1, index_bound - n - 1)
-    check_guard(math.comb(index_bound, side) if side <= 64 else 2**64, MAX_VERIFY_WORK,
+    check_guard(math.comb(index_bound, side) if side <= 64 else 2**64, MAX_WORK,
                 "refinement tuples")
     violations = []
     checked = 0
@@ -269,25 +266,29 @@ class ThickResult:
 
 
 def _partitions_bounded(items: tuple, max_parts: int):
-    """Set partitions of items into at most max_parts nonempty blocks
-    (blocks ordered by least element, each sorted as items; deterministic)."""
-    n = len(items)
+    """Set partitions of items into at most max_parts nonempty blocks, each
+    sorted as items and ordered by least element: the restricted growth
+    strings in lexicographic order, walked with an explicit stack."""
     parts: list[list] = []
-
-    def rec(i: int):
-        if i == n:
+    placed: list[int] = []  # placed[i]: the block items[i] sits in
+    j = 0  # the block to try for the next item; len(parts) opens a new one
+    while True:
+        if len(placed) == len(items):
             yield [tuple(p) for p in parts]
+        elif j <= len(parts) and j < max_parts:
+            if j == len(parts):
+                parts.append([])
+            parts[j].append(items[len(placed)])
+            placed.append(j)
+            j = 0
+            continue
+        if not placed:
             return
-        for p in parts:
-            p.append(items[i])
-            yield from rec(i + 1)
-            p.pop()
-        if len(parts) < max_parts:
-            parts.append([items[i]])
-            yield from rec(i + 1)
+        j = placed.pop()  # undo the last placement, then try the next block
+        parts[j].pop()
+        if not parts[j]:  # only the newest block can empty
             parts.pop()
-
-    yield from rec(0)
+        j += 1
 
 
 def _missing_class(part: tuple[int, ...], n: int, k_max: int) -> int | None:
@@ -320,14 +321,14 @@ def is_thick_bounded(A: Iterable[int], params: ThickParams) -> ThickResult:
     """
     primes = sorted(set(A))
     n = len(primes)
-    check_guard(n, MAX_THICK_SET, "thickness set size")
     if not n:
         return ThickResult(False, {"partition": [], "missing": []})
     # a partition into at most m parts is a restricted growth string, so
-    # there are at most m^(n-1); from 2^64 on the guard sees 2^64
+    # there are at most m^(n-1), each with at most C(n, 2) pairs to color;
+    # from 2^64 on the guard sees 2^64 for the power
     m = min(params.m_max, n)
-    check_guard(m ** (n - 1) if (n - 1) * (m.bit_length() - 1) < 64 else 2**64,
-                MAX_THICK_PARTITIONS, "thickness partitions")
+    partitions = m ** (n - 1) if (n - 1) * (m.bit_length() - 1) < 64 else 2**64
+    check_guard(partitions * math.comb(n, 2), MAX_WORK, "thickness pair colorings")
     prime_at = {prime_index(p): p for p in primes}
     # no pair of indices <= i has a color above i.bit_length(), so a larger
     # k_max leaves the least missing class unchanged

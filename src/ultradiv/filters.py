@@ -18,7 +18,6 @@ from .arith import NatSet
 __all__ = [
     "FinFilter",
     "WindowOverflowError",
-    "member",
     "divides_up",
     "divides_down",
     "image_filter",
@@ -79,11 +78,6 @@ def _operand(A: Iterable[int], bound: int) -> set | frozenset:
     if elems and (min(elems) < 1 or max(elems) > bound):
         raise ValueError("set escapes the universe")
     return elems
-
-
-def member(f: FinFilter, A: Iterable[int]) -> bool:
-    """A belongs to the filter iff A contains the core."""
-    return f.core <= _operand(A, f.bound)
 
 
 def divides_up(x: FinFilter, y: FinFilter) -> bool:

@@ -1,11 +1,10 @@
 """Combinatorial blow-up guards.
 
-Several operations (pattern-set generation, set-partition enumeration)
-can explode for careless inputs.  Guards are on by default; the one way
-to lift them is the environment variable ULTRADIV_GUARD: set it to
-``off`` or ``0`` to disable all guards, or to a positive integer to
-replace every default cap with that value.  Any other value is an error
-(ValueError), not silently ignored.
+Pattern-set generation and the exhaustive searches estimate their size
+before they start.  Guards are on by default; the one way to lift them
+is the environment variable ULTRADIV_GUARD: ``off`` or ``0`` disables
+all guards, a positive integer replaces every default cap, and any other
+value is an error (ValueError), not silently ignored.
 """
 
 from __future__ import annotations

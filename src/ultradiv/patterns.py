@@ -421,7 +421,8 @@ def extend_divisible(
         if p not in owner:
             raise ValueError(f"{l} uses prime {p} outside the assignment")
         per_label[owner[p]].append((p, e))
-    for label in set(alpha.support) | {lab for lab, ps in per_label.items() if ps}:
+    for label in sorted(set(alpha.support) | {lab for lab, ps in per_label.items() if ps},
+                        key=_label_key):
         have = sorted((e for _p, e in per_label.get(label, [])), reverse=True)
         if have != _slot_exponents(restrict(alpha, label)):
             raise ValueError(f"{l} is not generated by the first pattern at {label!r}")

@@ -9,8 +9,10 @@ lines.  An argparse usage error prints no report, so both are null.
     PYTHONPATH=src python tests/golden/regen.py
 
 reruns the argv and guard of every line and rewrites the rest of it; a
-new case is a line that holds only "argv" and "guard".
-tests/test_golden.py reruns every line and compares byte for byte.
+new case is a line that holds only "argv" and "guard".  It prints the
+argv and guard of every line it changes, and per file the number of
+cases and of changed lines.  tests/test_golden.py reruns every line and
+compares byte for byte.
 """
 
 from __future__ import annotations
@@ -75,7 +77,11 @@ def run(argv: list[str], guard: str | None) -> dict:
 
 if __name__ == "__main__":
     for path in sorted(GOLDEN_DIR.glob("*.jsonl")):
-        cases = [json.loads(line) for line in path.read_text().splitlines()]
-        path.write_text("".join(json.dumps(run(case["argv"], case["guard"])) + "\n"
-                                for case in cases))
-        print(f"{len(cases):4d}  {path.name}")
+        lines = path.read_text().splitlines()
+        cases = [json.loads(line) for line in lines]
+        fresh = [json.dumps(run(case["argv"], case["guard"])) for case in cases]
+        changed = [case for case, old, new in zip(cases, lines, fresh) if old != new]
+        for case in changed:
+            print(f"      changed  {json.dumps(case['argv'])}  guard={case['guard']}")
+        path.write_text("".join(line + "\n" for line in fresh))
+        print(f"{len(cases):4d} {len(changed):4d}  {path.name}")

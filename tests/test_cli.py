@@ -1,12 +1,15 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import sympy
 
-from test_imports import SUBCOMMANDS
+from test_imports import SRC, SUBCOMMANDS
 from ultradiv import arith, cli, patterns
 from ultradiv.cli import build_parser, main
 from ultradiv.guards import ENV_VAR
@@ -272,6 +275,18 @@ def test_extend(capsys):
     assert code == 0 and rep["value"] == 105
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_extend_names_the_first_mismatched_label_under_any_hash_seed(seed):
+    # both labels mismatch; the error names the first in label order, not in set order
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultradiv.cli", "extend", "225", "(p,1),(q,1)", "(p,1),(q,1)",
+         "--assign", "p:3;q:5", "--format", "json"],
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == "225 is not generated by the first pattern at 'p'"
+
+
 def test_thick(capsys):
     code, rep = run_json(capsys, "thick", "2,3,5,7,11,13,17,19", "--k-max", "1")
     assert code == 0 and rep["thick"] is True
@@ -286,6 +301,13 @@ def test_thick_huge_k_max_answers_at_once(capsys):
     assert code == 0 and huge["certificate"] == small["certificate"] == {
         "partition": [[2, 3, 5]], "missing": [3]}
     assert huge["elapsed_ms"] < 1000
+
+
+def test_thick_with_the_guard_off_walks_a_thousand_primes(capsys, monkeypatch):
+    # the partition walk keeps no Python frame per prime, so no RecursionError
+    monkeypatch.setenv(ENV_VAR, "off")
+    code, rep = run_json(capsys, "thick", ",".join(map(str, arith.first_primes(1000))))
+    assert code == 0 and rep["outcome"] == "value" and rep["thick"] is True
 
 
 @pytest.mark.parametrize("arg", ["", "-", ";"])

@@ -336,19 +336,50 @@ def test_is_thick_dual_route():
 
 
 def test_thick_guard():
-    # 5 primes in 4 parts is 4^4 = 256 partitions at most, inside the partition guard
+    # 5 primes in 4 parts: 4^4 partitions of C(5, 2) pairs at most, inside the guard
     for k_max in (1, 2, 3):
         params = ThickParams(m_max=4, k_max=k_max, n=2)
         assert is_thick_bounded(first_primes(5), params).thick == thick_oracle(first_primes(5),
                                                                                 params)
     with pytest.raises(GuardExceeded):
-        is_thick_bounded(first_primes(13), ThickParams(1, 1, 2))
+        is_thick_bounded(first_primes(12), ThickParams(4, 1, 2))
+
+
+def partitions_oracle(items, max_parts):
+    """Set partitions of items into at most max_parts blocks, by recursion:
+    item i joins each open block in turn, then opens a new one."""
+    parts = []
+
+    def rec(i):
+        if i == len(items):
+            yield [tuple(p) for p in parts]
+            return
+        for p in parts:
+            p.append(items[i])
+            yield from rec(i + 1)
+            p.pop()
+        if len(parts) < max_parts:
+            parts.append([items[i]])
+            yield from rec(i + 1)
+            parts.pop()
+
+    yield from rec(0)
+
+
+def test_partition_walk_matches_the_recursive_oracle():
+    for n in range(10):
+        items = tuple(range(3, 3 + 2 * n, 2))
+        for m in range(7):
+            assert list(coloring._partitions_bounded(items, m)) == list(
+                partitions_oracle(items, m)), (n, m)
+    # S(9, 1) + ... + S(9, 6) partitions of 9 items into at most 6 blocks
+    assert len(list(coloring._partitions_bounded(tuple(range(9)), 6))) == 20648
 
 
 def unclamped_thick(A, params):
     """is_thick_bounded's search with k_max passed through as given."""
     prime_at = {prime_index(p): p for p in sorted(A)}
-    for partition in coloring._partitions_bounded(tuple(prime_at), params.m_max):
+    for partition in partitions_oracle(tuple(prime_at), params.m_max):
         missing = [coloring._missing_class(part, params.n, params.k_max) for part in partition]
         if None not in missing:
             return False, {"partition": [[prime_at[i] for i in p] for p in partition],

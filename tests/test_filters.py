@@ -9,7 +9,6 @@ from ultradiv.filters import (
     divides_down,
     divides_up,
     image_filter,
-    member,
     product_member,
     product_principal,
 )
@@ -46,18 +45,8 @@ def test_universe_mismatch_message():
             call()
 
 
-def test_member():
-    assert member(F({2}), {2, 4})
-    assert not member(F({2, 3}), {2})
-    assert member(F({2, 3}), range(1, 101))
-    with pytest.raises(ValueError):
-        member(F({2}), {101})
-
-
 def test_set_operands_below_one_are_rejected():
     f = F({2})
-    with pytest.raises(ValueError, match="set escapes the universe"):
-        member(FinFilter(10, {2}), [0, 2, -5])
     with pytest.raises(ValueError, match="set escapes the universe"):
         product_member([-1, 4], f, f)
     with pytest.raises(ValueError, match="set escapes the universe"):

@@ -55,44 +55,56 @@ def test_generate_guard(monkeypatch):
 def test_thick_guard_env(monkeypatch):
     params = ThickParams(m_max=4, k_max=1, n=2)
     with pytest.raises(GuardExceeded):
-        is_thick_bounded(first_primes(10), params)
+        is_thick_bounded(first_primes(12), params)
     monkeypatch.setenv(ENV_VAR, "off")
-    assert is_thick_bounded(first_primes(10), params).thick is not None
+    assert is_thick_bounded(first_primes(12), params).thick is not None
+
+
+class Indexed(Exception):
+    """Raised in place of prime_index: the call got past the guard."""
 
 
 def refuse_prime_index(*args):
-    raise AssertionError("prime_index ran before the guard")
+    raise Indexed
 
 
-@pytest.mark.parametrize("size, m_max", [(12, 3), (5, 4), (8, 4), (9, 4), (6, 10**9)])
+def thick_estimate(size, m_max):
+    """The thickness guard's count: min(m, n)^(n-1) partitions of C(n, 2) pairs."""
+    return min(m_max, size) ** (size - 1) * math.comb(size, 2)
+
+
+@pytest.mark.parametrize("size, m_max", [(12, 3), (5, 4), (8, 4), (9, 4), (6, 10**9), (10, 4),
+                                         (13, 1)])
 def test_thick_guard_admits(monkeypatch, size, m_max):
-    # at most min(m_max, n)^(n-1) partitions: 3^11 = 177147 is the cap itself
+    # every estimate here is at most 4^9 * C(10, 2) = 11,796,480 pair colorings
     monkeypatch.delenv(ENV_VAR, raising=False)
     res = is_thick_bounded(first_primes(size), ThickParams(m_max, 1, 2))
     assert res.thick in (True, False)
 
 
-@pytest.mark.parametrize("size, m_max, what", [
-    (10, 4, f"thickness partitions = {4**9} exceeds guard cap {3**11};"),
-    (12, 4, f"thickness partitions = {4**11} exceeds guard cap {3**11};"),
-    (13, 1, "thickness set size = 13 exceeds guard cap 12;"),
-])
-def test_thick_guard_refuses_before_indexing(monkeypatch, size, m_max, what):
+@pytest.mark.parametrize("size, m_max", [(14143, 1), (21, 2), (14, 3), (12, 4)])
+def test_thick_guard_refuses_before_indexing(monkeypatch, size, m_max):
+    # the first refused set size for each part count; one prime fewer reaches prime_index
     monkeypatch.delenv(ENV_VAR, raising=False)
     monkeypatch.setattr(coloring, "prime_index", refuse_prime_index)
-    with pytest.raises(GuardExceeded, match=what):
+    assert thick_estimate(size - 1, m_max) <= coloring.MAX_WORK < thick_estimate(size, m_max)
+    with pytest.raises(GuardExceeded, match=f"thickness pair colorings = "
+                       f"{thick_estimate(size, m_max)} exceeds guard cap {coloring.MAX_WORK};"):
         is_thick_bounded(first_primes(size), ThickParams(m_max, 1, 2))
+    with pytest.raises(Indexed):
+        is_thick_bounded(first_primes(size - 1), ThickParams(m_max, 1, 2))
 
 
 def test_thick_guard_env_replaces_the_partition_cap(monkeypatch):
-    # 5 primes in 4 parts (4^4 = 256 partitions) pass the defaults but not a cap of 100;
-    # past 2^64 the guard sees 2^64, so no 18,000-digit power is built or printed
+    # 5 primes in 4 parts (4^4 partitions of C(5, 2) pairs) pass the default but not a cap
+    # of 100; past 2^64 partitions the guard sees 2^64, so no 18,000-digit power is built
     monkeypatch.setattr(coloring, "prime_index", refuse_prime_index)
     monkeypatch.setenv(ENV_VAR, "100")
-    with pytest.raises(GuardExceeded, match="thickness partitions = 256 exceeds guard cap 100;"):
+    with pytest.raises(GuardExceeded, match="pair colorings = 2560 exceeds guard cap 100;"):
         is_thick_bounded(first_primes(5), ThickParams(4, 1, 2))
     monkeypatch.setenv(ENV_VAR, "100000")
-    with pytest.raises(GuardExceeded, match=f"thickness partitions = {2**64} exceeds"):
+    with pytest.raises(GuardExceeded,
+                       match=f"thickness pair colorings = {2**64 * math.comb(5000, 2)} exceeds"):
         is_thick_bounded(first_primes(5000), ThickParams(5000, 1, 2))
 
 
@@ -111,7 +123,7 @@ def test_verifier_work_guards(monkeypatch, capsys, argv, estimate):
     code = main(["verify", *argv, "--format", "json"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 2 and rep["outcome"] == "error"
-    assert f" = {estimate} exceeds guard cap {coloring.MAX_VERIFY_WORK};" in rep["error"]
+    assert f" = {estimate} exceeds guard cap {coloring.MAX_WORK};" in rep["error"]
     assert rep["elapsed_ms"] < 1000
 
 
@@ -144,14 +156,23 @@ def test_progr_guards_a_huge_k_before_building_its_length(monkeypatch, capsys, k
                  "--format", "json"])
     rep = json.loads(capsys.readouterr().out)
     assert code == 2 and rep["outcome"] == "error"
-    assert f"progression length = {2**64} exceeds guard cap" in rep["error"]
+    assert f"progression pair checks = {math.comb(2**64, 2)} exceeds guard cap" in rep["error"]
     assert time.perf_counter() - t0 < 1
+
+
+def test_progr_guard_admits_k13_and_refuses_k14_at_one_start_and_step(monkeypatch):
+    # C(2^13 + 1, 2) = 33,558,528 pair checks pass the cap, C(2^14 + 1, 2) does not
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    assert verify_progr(13, 1, 1).checked == 1
+    with pytest.raises(GuardExceeded, match=f"progression pair checks = {math.comb(2**14 + 1, 2)} "
+                                            f"exceeds guard cap {coloring.MAX_WORK};"):
+        verify_progr(14, 1, 1)
 
 
 @pytest.mark.parametrize("a0_max, d_max, checked", [(1, 1, 1), (3, 3, 9)])
 def test_progr_at_the_longest_guarded_length_builds_no_pair_list(monkeypatch, a0_max, d_max,
                                                                checked):
-    # k = 12 passes both guards (C(4097, 2) pair checks per progression);
+    # k = 12 passes the guard at 3 starts and 3 steps (C(4097, 2) pair checks each);
     # the verifier walks gaps lazily and never enumerates the pairs
     def no_enumeration(*args):
         raise AssertionError("pair list built")
